@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pathlib
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -21,7 +23,8 @@ from typing import Protocol
 
 from . import dynamics as dyn
 from . import network as net_mod
-from .llm_client import ChatTurn, PlannerParseError, extract_planner_json
+from .llm_client import (ChatTurn, PlannerParseError, _json_candidates,
+                         extract_planner_json)
 
 TEMPLATE_VERSION = "v1"
 ROLES = ("leader", "follower", "wave_dampener")
@@ -221,29 +224,26 @@ class MemoryStore:
 
     @classmethod
     def from_dir(cls, path) -> "MemoryStore":
-        import pathlib
-        items = []
-        for fp in sorted(pathlib.Path(path).glob("*.json")):
-            doc = json.loads(fp.read_text(encoding="utf-8"))
-            items.append(Experience(doc["scenario_tag"], doc.get("role_tag"),
-                                    doc["text"]))
-        return cls(items)
+        """Load every ``*.json`` experience in a directory, sorted by name.
 
-    @classmethod
-    def default(cls) -> "MemoryStore":
-        ref = resources.files("comal") / "experiences"
+        ``path`` may be a filesystem path or an importlib ``Traversable``.
+        """
+        root = pathlib.Path(path) if isinstance(path, (str, os.PathLike)) else path
         items = []
-        for fp in sorted(ref.iterdir(), key=lambda p: p.name):
+        for fp in sorted(root.iterdir(), key=lambda p: p.name):
             if fp.name.endswith(".json"):
                 doc = json.loads(fp.read_text(encoding="utf-8"))
                 items.append(Experience(doc["scenario_tag"], doc.get("role_tag"),
                                         doc["text"]))
         return cls(items)
 
+    @classmethod
+    def default(cls) -> "MemoryStore":
+        return cls.from_dir(resources.files("comal") / "experiences")
+
     def add(self, experience: Experience, persist_dir=None) -> None:
         self._items.append(experience)
         if persist_dir is not None:
-            import pathlib
             d = pathlib.Path(persist_dir)
             d.mkdir(parents=True, exist_ok=True)
             n = len(list(d.glob("run_summary_*.json")))
@@ -366,8 +366,11 @@ def parse_role_block(text: str, expected_ids: set[str]) -> dict[str, str] | None
         return None
     tail = text[idx + len(TERMINATOR):]
     block = None
-    for candidate in _json_objects(tail):
-        block = candidate
+    for candidate in _json_candidates(tail):
+        try:
+            block = json.loads(candidate)
+        except (ValueError, RecursionError):
+            pass
     if not isinstance(block, dict):
         return None
     if set(block) != expected_ids:
@@ -377,22 +380,6 @@ def parse_role_block(text: str, expected_ids: set[str]) -> dict[str, str] | None
     if sum(1 for r in block.values() if r == "leader") > 1:
         return None
     return dict(block)
-
-
-def _json_objects(text: str):
-    depth, start = 0, -1
-    for i, ch in enumerate(text):
-        if ch == "{":
-            if depth == 0:
-                start = i
-            depth += 1
-        elif ch == "}" and depth > 0:
-            depth -= 1
-            if depth == 0:
-                try:
-                    yield json.loads(text[start:i + 1])
-                except ValueError:
-                    pass
 
 
 def fallback_roles(scene_per_cav: dict[str, SceneDescription]) -> dict[str, str]:

@@ -569,11 +569,10 @@ def step(world: World, dt: float) -> None:
     lead = world.lead_idx
     has_lead = lead >= 0
     lead_speed = np.where(has_lead, v[lead], v)
-    gap = np.ascontiguousarray(np.where(has_lead, world.gap, np.inf))
+    gap = np.where(has_lead, world.gap, np.inf)
     world._check_gaps()
 
-    dv = np.ascontiguousarray(v - lead_speed)
-    lead_speed = np.ascontiguousarray(lead_speed)
+    dv = v - lead_speed
     p = world._p
     acc = kernels.idm_acceleration(v, dv, gap, p["v0"], p["T"], p["a_max"],
                                    p["b"], p["delta"], p["s0"])
@@ -581,7 +580,7 @@ def step(world: World, dt: float) -> None:
 
     vgap = world._virtual_gaps()
     if vgap is not None:
-        acc_v = kernels.idm_acceleration(v, v.copy(), vgap, p["v0"], p["T"],
+        acc_v = kernels.idm_acceleration(v, v, vgap, p["v0"], p["T"],
                                          p["a_max"], p["b"], p["delta"], p["s0"])
         acc = np.minimum(acc, acc_v)
         cap = np.minimum(cap, kernels.safe_speed(vgap, np.zeros(n), dt, world.b_max))
@@ -590,7 +589,7 @@ def step(world: World, dt: float) -> None:
         acc = acc + np.array([nm.sample(dt) for nm in world.noise])
 
     v_new = np.maximum(0.0, v + acc * dt)
-    v_new = np.ascontiguousarray(np.minimum(v_new, np.maximum(cap, 0.0)))
+    v_new = np.minimum(v_new, np.maximum(cap, 0.0))
 
     world.arc = world.arc + v_new * dt
     over = world._cyclic & (world.arc >= world._route_len)

@@ -227,27 +227,22 @@ def import_trajectories(path) -> list[TrajectorySample]:
 def make_backend(name: str, *, remote_config: BackendConfig | None = None,
                  transcript_path=None, log: TranscriptLog | None = None,
                  run_id: str = "run"):
-    """Build a backend by name; remote and replay get transcript recording."""
+    """Build a backend by name, wrapped to record into ``log`` when given."""
     if name == "scripted":
         backend = ScriptedBackend()
-        if log is not None:
-            backend = RecordingBackend(backend, log, run_id)
-        return backend
-    if name == "remote":
+    elif name == "remote":
         if remote_config is None:
             raise ValueError("remote backend needs a BackendConfig")
         backend = RemoteBackend(remote_config)
-        if log is not None:
-            backend = RecordingBackend(backend, log, run_id)
-        return backend
-    if name == "replay":
+    elif name == "replay":
         if transcript_path is None:
             raise ValueError("replay backend needs a transcript path")
         backend = ReplayBackend(transcript_path)
-        if log is not None:
-            backend = RecordingBackend(backend, log, run_id)
-        return backend
-    raise ValueError(f"unknown backend {name!r}")
+    else:
+        raise ValueError(f"unknown backend {name!r}")
+    if log is not None:
+        backend = RecordingBackend(backend, log, run_id)
+    return backend
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -299,13 +294,17 @@ def sweep(cells: list[SweepCell], seeds, backend_name: str = "scripted",
           workers: int = 1) -> SweepTable:
     """Run every (cell, seed) pair and aggregate per cell.
 
-    Errors are recorded per cell and do not stop the sweep. With
-    ``workers > 1`` independent runs execute in parallel processes; results
-    are identical to the sequential order.
+    Cell labels must be unique. Errors are recorded per cell and do not
+    stop the sweep. With ``workers > 1`` independent runs execute in
+    parallel processes; results are identical to the sequential order.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("sweep needs at least one seed")
+    labels = [cell.label for cell in cells]
+    if len(set(labels)) != len(labels):
+        dupes = sorted({lb for lb in labels if labels.count(lb) > 1})
+        raise ValueError(f"duplicate sweep labels: {dupes}")
     jobs = [(cell.label, cell.config.replace(seed=seed), backend_name)
             for cell in cells for seed in seeds]
     if workers > 1:

@@ -1,10 +1,7 @@
-"""Pure-numpy implementations of the hot per-step kernels.
-
-These mirror the native extension exactly (same formulas, same elementwise
-order of operations) and serve as the fallback when the extension is not
-built, and as the reference in the backend-equivalence tests.
-"""
+"""Numpy kernels for the integrator: IDM acceleration and the failsafe cap."""
 import numpy as np
+
+BACKEND = "python"  # recorded by the benchmark with each result file
 
 
 def idm_acceleration(v, dv, gap, v0, T, a_max, b, delta, s0):

@@ -161,6 +161,10 @@ class TestRoleBlock:
     def test_no_terminator(self):
         assert parse_role_block("just chatting", {"a"}) is None
 
+    def test_deeply_nested_reply_is_rejected(self):
+        nested = '{"a":' * 100000 + '1' + '}' * 100000
+        assert parse_role_block(f"{agent.TERMINATOR}\n{nested}", {"a"}) is None
+
 
 class _SilentBackend:
     """Never terminates the discussion."""

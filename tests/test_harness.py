@@ -206,6 +206,36 @@ class TestSweep:
         assert table.to_csv().startswith("label,n_ok,avg_mean")
         assert "mini" in table.format_table()
 
+    def test_duplicate_labels_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(harness, "_run_cell", lambda job: pytest.fail("ran"))
+        cells = [SweepCell("x", sc.find("Ring 0")), SweepCell("x", sc.find("Ring 2"))]
+        with pytest.raises(ValueError, match="duplicate"):
+            sweep(cells, seeds=[0])
+
+
+class TestMakeBackend:
+    def test_remote_needs_config(self):
+        with pytest.raises(ValueError, match="BackendConfig"):
+            harness.make_backend("remote")
+
+    def test_replay_needs_transcript(self):
+        with pytest.raises(ValueError, match="transcript"):
+            harness.make_backend("replay")
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            harness.make_backend("oracle")
+
+    def test_log_wraps_in_recorder(self, tmp_path):
+        log = TranscriptLog(tmp_path / "t.jsonl")
+        try:
+            backend = harness.make_backend("scripted", log=log, run_id="r")
+        finally:
+            log.close()
+        assert isinstance(backend, RecordingBackend)
+        assert isinstance(backend.inner, ScriptedBackend)
+        assert isinstance(harness.make_backend("scripted"), ScriptedBackend)
+
 
 class TestCli:
     def test_run_and_list(self, tmp_path):
