@@ -12,6 +12,7 @@ serves recorded transcripts.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -44,7 +45,9 @@ DAMPENER_PACE_MARGIN = 0.5  # m/s under the local mean, opens an absorbing buffe
 CONGESTION_SPEED_MARGIN = 1.0  # m/s below ego speed that flags congestion
 
 
+@functools.cache
 def _template(name: str) -> str:
+    """A prompt template, read once per process from the package data."""
     ref = resources.files("comal") / "templates" / TEMPLATE_VERSION / name
     return ref.read_text(encoding="utf-8")
 
@@ -100,41 +103,65 @@ class SceneDescription:
         return "\n".join((self.map_text, self.ego_text, self.neighbors_text))
 
 
-def perceive(world, ego_id: str, horizon: float) -> SceneDescription:
+def perceive(world, ego_id: str, horizon: float, index=None) -> SceneDescription:
     """Render the scene around ``ego_id``.
 
     Neighbors are the vehicles ahead on the ego route within ``horizon``
     meters of bumper gap, nearest first. Rendering is a pure function of
     the world state: identical worlds yield identical bytes.
+
+    ``index`` is the world's current ``route_index()``; callers perceiving
+    for many vehicles of one unchanged world build it once and pass it in.
+    Perception then walks forward from the ego along its route's sorted
+    order, so its cost grows with the vehicles it passes, not the world.
     """
     if ego_id not in world._index:
         raise KeyError(f"unknown vehicle {ego_id!r}")
+    if index is None:
+        index = world.route_index()
     i = world.index_of(ego_id)
     network = world.network
     route = network.route(world.route_ids[i])
     ego_arc = float(world.arc[i])
-    found = net_mod.leader_of(ego_id, world)
-    if found is None:
-        leader_id, headway, leader_speed = None, math.inf, 0.0
-    else:
-        leader_id, headway = found
-        leader_speed = float(world.speed[world.index_of(leader_id)])
+    order, arcs = index.order[route.id], index.arcs[route.id]
+    k = int(index.rank[route.id][i])
+    m = len(order)
+    # Forward gaps only grow along the walk (route arcs are sorted, and a
+    # cyclic route's arcs lie in [0, length)); a cyclic walk ends on the ego
+    # itself, one full lap ahead. No vehicle's visible extent exceeds its
+    # length, so once ``d - max_length`` passes the horizon no later vehicle
+    # is a neighbor, and once ``d`` also passes the leader's none leads.
+    walk = range(k + 1, k + 1 + m) if route.cyclic else range(k + 1, m)
+    max_length = float(world.length.max())
+    leader_j, leader_d = -1, math.inf
     neighbors = []
-    for j in range(world.size):
-        if j == i:
-            continue
-        arc_j = net_mod.project_onto_route(network, route, world.route_ids[j],
-                                           float(world.arc[j]))
-        if arc_j is None:
-            continue
-        d = net_mod.forward_gap(route, ego_arc, arc_j)
+    for pos in walk:
+        pos %= m
+        j = int(order[pos])
+        d = net_mod.forward_gap(route, ego_arc, float(arcs[pos]),
+                                self_distance=(j == i))
         if d is None or d <= 0.0:
+            continue
+        if d > leader_d and d - max_length > horizon:
+            break
+        if d < leader_d or (d == leader_d and j < leader_j):  # as leader_of
+            leader_j, leader_d = j, d
+        if j == i:
             continue
         extent = net_mod.visible_extent(network, route, world.route_ids[j],
                                         float(world.arc[j]), float(world.length[j]))
         gap = d - extent
         if 0.0 < gap <= horizon:
             neighbors.append((world.ids[j], world.kinds[j], gap, float(world.speed[j])))
+    if leader_j < 0:
+        leader_id, headway, leader_speed = None, math.inf, 0.0
+    else:
+        extent = net_mod.visible_extent(network, route, world.route_ids[leader_j],
+                                        float(world.arc[leader_j]),
+                                        float(world.length[leader_j]))
+        leader_id = world.ids[leader_j]
+        headway = leader_d - extent
+        leader_speed = float(world.speed[leader_j])
     neighbors.sort(key=lambda item: (item[2], item[0]))
     return SceneDescription(
         scenario_tag=network.kind,

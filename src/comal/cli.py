@@ -82,6 +82,11 @@ def run_cmd(scenario_name, backend_name, seed, out_dir, config_path, no_collab,
     if backend_name == "replay" and not transcript_path:
         raise click.UsageError("replay backend needs --transcript")
     out = pathlib.Path(out_dir)
+    if (transcript_path is not None and pathlib.Path(transcript_path).resolve()
+            == (out / "transcript.jsonl").resolve()):
+        raise click.UsageError(
+            "--transcript is the transcript this run writes to --out; "
+            "replay it from another directory")
     out.mkdir(parents=True, exist_ok=True)
     log = None
     if backend_name in ("remote", "replay"):

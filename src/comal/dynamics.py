@@ -212,6 +212,23 @@ class _Inflow:
             self.next_time += self.rng.exponential(3600.0 / self.rate_vph)
 
 
+@dataclass(frozen=True)
+class RouteIndex:
+    """The vehicles present on each route, sorted by their arc along it.
+
+    Keyed by route id. ``order`` holds vehicle indices: the route's own
+    vehicles plus any projected onto it from a shared edge, sorted by arc
+    with ties in index order. ``arcs`` holds their arcs in the same order.
+    ``rank[route_id][j]`` is vehicle j's position in ``order[route_id]``,
+    -1 when j is not on that route. Valid until a vehicle moves, arrives or
+    leaves.
+    """
+
+    order: dict[str, np.ndarray]
+    arcs: dict[str, np.ndarray]
+    rank: dict[str, np.ndarray]
+
+
 class World:
     """Mutable simulation state: vehicle arrays, links, gating, inflows.
 
@@ -336,37 +353,36 @@ class World:
         return net_mod.visible_extent(self.network, ego_route, self.route_ids[j],
                                       float(self.arc[j]), float(self.length[j]))
 
-    def _projections(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per route: vehicle indices present on it and their route arcs."""
-        out = {}
+    def route_index(self) -> RouteIndex:
+        """Sort the vehicles present on each route by their arc along it."""
+        n = self.size
+        positions = list(zip(self.route_ids, self.arc.tolist()))
+        order, arcs, rank = {}, {}, {}
         for route in self.network.routes.values():
-            idxs, arcs = [], []
-            for j in range(self.size):
-                a = net_mod.project_onto_route(self.network, route,
-                                               self.route_ids[j], float(self.arc[j]))
+            idxs, proj = [], []
+            for j, (rid, arc) in enumerate(positions):
+                a = net_mod.project_onto_route(self.network, route, rid, arc)
                 if a is not None:
                     idxs.append(j)
-                    arcs.append(a)
-            order = np.argsort(np.asarray(arcs), kind="stable") if arcs else np.empty(0, int)
-            out[route.id] = (np.asarray(idxs, dtype=np.intp)[order],
-                             np.asarray(arcs)[order])
-        return out
+                    proj.append(a)
+            by_arc = np.argsort(np.asarray(proj, dtype=float), kind="stable")
+            order[route.id] = np.asarray(idxs, dtype=np.intp)[by_arc]
+            arcs[route.id] = np.asarray(proj, dtype=float)[by_arc]
+            rank[route.id] = np.full(n, -1, dtype=np.intp)
+            rank[route.id][order[route.id]] = np.arange(len(idxs))
+        return RouteIndex(order, arcs, rank)
 
     def rebuild_links(self) -> None:
         """Derive leader links and bumper gaps from current positions."""
         n = self.size
         lead = np.full(n, -1, dtype=np.intp)
         gap = np.full(n, np.inf)
-        proj = self._projections()
-        rank: dict[str, dict[int, int]] = {
-            rid: {int(j): k for k, j in enumerate(idxs)}
-            for rid, (idxs, _) in proj.items()
-        }
+        index = self.route_index()
         for i in range(n):
             rid = self.route_ids[i]
             route = self.network.route(rid)
-            idxs, arcs = proj[rid]
-            k = rank[rid][i]
+            idxs, arcs = index.order[rid], index.arcs[rid]
+            k = int(index.rank[rid][i])
             m = len(idxs)
             if route.cyclic:
                 k_lead = (k + 1) % m

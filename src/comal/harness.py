@@ -82,8 +82,8 @@ class AgentPipeline:
         self.pool = MessagePool()
         self.planner_log: list[dict] = []
 
-    def _scene(self, world, vid: str):
-        return agent_mod.perceive(world, vid, self.cfg.perception_horizon_m)
+    def _scene(self, world, vid: str, index):
+        return agent_mod.perceive(world, vid, self.cfg.perception_horizon_m, index)
 
     def collaborate(self, world) -> None:
         cavs = sorted(world.cav_ids())
@@ -93,16 +93,19 @@ class AgentPipeline:
             # ablated: every agent adopts the same solo role
             self.roles.update({vid: DEFAULT_ROLE for vid in cavs})
             return
-        scenes = {vid: self._scene(world, vid) for vid in cavs}
+        index = world.route_index()
+        scenes = {vid: self._scene(world, vid, index) for vid in cavs}
         assignments = agent_mod.brainstorm(
             cavs, self.pool, self.backend, scenes,
             max_rounds=self.cfg.collab_max_rounds, flags=self.flags)
         self.roles.update({a.vehicle_id: a.role for a in assignments})
 
     def replan(self, world, time: float) -> None:
+        # planner updates leave positions alone: one index serves every CAV
+        index = world.route_index() if self.cfg.perception else None
         for vid in sorted(world.cav_ids()):
             role = self.roles.setdefault(vid, DEFAULT_ROLE)
-            scene = self._scene(world, vid) if self.cfg.perception else None
+            scene = self._scene(world, vid, index) if self.cfg.perception else None
             experiences = (agent_mod.recall(self.memory, self.cfg.topology, role)
                            if self.cfg.memory else [])
             planner = agent_mod.reason(role, scene, experiences, self.backend,
@@ -191,7 +194,7 @@ def export(result: RunResult, directory) -> dict:
     """Write metrics.json and trajectories.csv atomically.
 
     Returns the paths written. The transcript log (when a recording backend
-    ran) is appended live during the run, not here.
+    ran) is written live during the run, not here.
     """
     os.makedirs(directory, exist_ok=True)
     paths = {}

@@ -151,11 +151,15 @@ def extract_planner_json(text: str) -> dict:
 
 
 class TranscriptLog:
-    """Append-only JSON-lines log of backend calls for one run."""
+    """JSON-lines log of backend calls for one run.
+
+    Opening a log truncates its file, so the file holds exactly one run and
+    a replay of it serves that run alone.
+    """
 
     def __init__(self, path):
         self.path = path
-        self._fh = open(path, "a", encoding="utf-8")
+        self._fh = open(path, "w", encoding="utf-8")
 
     def append(self, record: dict) -> None:
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")

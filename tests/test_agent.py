@@ -2,6 +2,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +100,160 @@ class TestPerceive:
         assert parsed.headway == pytest.approx(110.0)
         assert parsed.leader_id == "human_01"
         assert parsed.neighbors == (("human_01", "human", 110.0, 5.0),)
+
+
+def reference_scene(world, ego_id, horizon):
+    """Perception by brute force: ``leader_of`` plus a scan of every vehicle."""
+    i = world.index_of(ego_id)
+    network = world.network
+    route = network.route(world.route_ids[i])
+    ego_arc = float(world.arc[i])
+    found = net.leader_of(ego_id, world)
+    if found is None:
+        leader_id, headway, leader_speed = None, math.inf, 0.0
+    else:
+        leader_id, headway = found
+        leader_speed = float(world.speed[world.index_of(leader_id)])
+    neighbors = []
+    for j in range(world.size):
+        if j == i:
+            continue
+        arc_j = net.project_onto_route(network, route, world.route_ids[j],
+                                       float(world.arc[j]))
+        if arc_j is None:
+            continue
+        d = net.forward_gap(route, ego_arc, arc_j)
+        if d is None or d <= 0.0:
+            continue
+        gap = d - net.visible_extent(network, route, world.route_ids[j],
+                                     float(world.arc[j]), float(world.length[j]))
+        if 0.0 < gap <= horizon:
+            neighbors.append((world.ids[j], world.kinds[j], gap, float(world.speed[j])))
+    neighbors.sort(key=lambda item: (item[2], item[0]))
+    return SceneDescription(
+        scenario_tag=network.kind, ego_id=ego_id, ego_speed=float(world.speed[i]),
+        headway=headway, leader_id=leader_id, leader_speed=leader_speed,
+        speed_limit=network.speed_limit, route_length=route.length,
+        cyclic=route.cyclic, intersections=len(network.conflict_points),
+        position_arc=ego_arc, neighbors=tuple(neighbors))
+
+
+PROPERTY_NETWORKS = {
+    "ring": net.build_ring(230.0, 30.0),
+    "figure_eight": net.build_figure_eight(30.0, 30.0),
+    "merge": net.build_merge(600.0, 100.0, 30.0),
+}
+
+
+@st.composite
+def perception_worlds(draw):
+    """Small worlds with shared arcs and vehicles straddling the merge junction."""
+    network = PROPERTY_NETWORKS[draw(st.sampled_from(sorted(PROPERTY_NETWORKS)))]
+    junctions = {rid: arc for cp in network.conflict_points for rid, arc in cp.points}
+    used = {rid: [] for rid in network.routes}
+    w = dyn.World(network, seed=0)
+    for k in range(draw(st.integers(1, 12))):
+        rid = draw(st.sampled_from(sorted(network.routes)))
+        length = network.route(rid).length
+        options = [st.floats(0.0, length, exclude_max=True)]
+        if used[rid]:
+            options.append(st.sampled_from(used[rid]))
+        if rid in junctions:
+            options.append(st.floats(-8.0, 8.0).map(
+                lambda dx, at=junctions[rid]: min(max(at + dx, 0.0), length - 1e-6)))
+        arc = draw(st.one_of(options))
+        used[rid].append(arc)
+        w.add_vehicle(dyn.VehicleState(
+            id=f"v{k:02d}", route_id=rid, position=network.arc_to_lane(rid, arc),
+            speed=draw(st.floats(0.0, 30.0)),
+            length=draw(st.sampled_from([2.0, 5.0, 7.5, 12.0])),
+            kind=draw(st.sampled_from(["human", "cav"])),
+            active_params=dyn.human_params(30.0)), 0.0)
+    return w
+
+
+def assert_indexed_matches_reference(w, horizons):
+    index = w.route_index()
+    for vid in w.ids:
+        # every neighbor gap once more as the horizon: the boundary is inclusive
+        edge = [n[2] for n in reference_scene(w, vid, math.inf).neighbors]
+        for h in [*horizons, *edge]:
+            assert perceive(w, vid, h, index) == reference_scene(w, vid, h)
+
+
+class TestIndexedPerception:
+    @settings(max_examples=300, deadline=None)
+    @given(perception_worlds(), st.lists(st.floats(0.0, 700.0), min_size=1, max_size=3))
+    def test_matches_brute_force_scan(self, w, horizons):
+        assert_indexed_matches_reference(w, horizons)
+
+    @settings(max_examples=100, deadline=None)
+    @given(perception_worlds())
+    def test_route_index_matches_projecting_every_vehicle(self, w):
+        index = w.route_index()
+        for route in w.network.routes.values():
+            idxs, arcs = [], []
+            for j in range(w.size):
+                a = net.project_onto_route(w.network, route, w.route_ids[j],
+                                           float(w.arc[j]))
+                if a is not None:
+                    idxs.append(j)
+                    arcs.append(a)
+            by_arc = np.argsort(np.asarray(arcs, dtype=float), kind="stable")
+            expected = np.asarray(idxs, dtype=np.intp)[by_arc]
+            assert index.order[route.id].tolist() == expected.tolist()
+            assert index.arcs[route.id].tolist() == np.asarray(arcs)[by_arc].tolist()
+            ranks = index.rank[route.id]
+            assert [int(ranks[j]) for j in expected] == list(range(len(expected)))
+            assert int((ranks >= 0).sum()) == len(expected)
+
+    def test_lone_vehicle_leads_itself_around_the_loop(self):
+        network = PROPERTY_NETWORKS["figure_eight"]
+        w = dyn.World(network, seed=0)
+        w.add_vehicle(dyn.VehicleState(
+            id="solo", route_id="eight", position=network.arc_to_lane("eight", 40.0),
+            speed=4.0, length=5.0, kind="cav", active_params=dyn.human_params(30.0)), 0.0)
+        scene = perceive(w, "solo", 50.0, w.route_index())
+        assert scene.leader_id == "solo"
+        assert scene.headway == network.route("eight").length - 5.0
+        assert scene.neighbors == ()
+        assert_indexed_matches_reference(w, [0.0, 50.0, 1e3])
+
+    def test_neighbor_exactly_at_the_horizon_is_kept(self):
+        w = TestPerceive().build_two_vehicle_ring()
+        scene = perceive(w, "cav_00", 110.0, w.route_index())
+        assert [n[0] for n in scene.neighbors] == ["human_01"]
+        assert perceive(w, "cav_00", 109.99, w.route_index()).neighbors == ()
+
+    def test_full_lap_tie_goes_to_the_lowest_index(self):
+        # one ulp behind the ego, the other vehicle's forward gap rounds to a
+        # full lap: it ties with the ego chasing itself, and index 0 wins
+        network = PROPERTY_NETWORKS["ring"]
+        w = dyn.World(network, seed=0)
+        for vid, arc in (("ego", 100.0), ("behind", math.nextafter(100.0, 0.0))):
+            w.add_vehicle(dyn.VehicleState(
+                id=vid, route_id="loop", position=network.arc_to_lane("loop", arc),
+                speed=4.0, length=5.0, kind="cav",
+                active_params=dyn.human_params(30.0)), 0.0)
+        assert net.forward_gap(network.route("loop"), w.arc[0], w.arc[1]) == 230.0
+        assert perceive(w, "ego", 10.0, w.route_index()).leader_id == "ego"
+        assert_indexed_matches_reference(w, [0.0, 300.0])
+
+    def test_without_index_builds_its_own(self):
+        w = uniform_ring_world(n=9, cav_indices=(0, 4))
+        for vid in w.ids:
+            assert perceive(w, vid, 80.0) == perceive(w, vid, 80.0, w.route_index())
+
+
+class TestTemplates:
+    def test_read_once_per_process(self, monkeypatch):
+        first = agent._template("reason_system.txt")
+
+        def no_reads(*_args, **_kwargs):
+            raise AssertionError("template read from disk again")
+
+        monkeypatch.setattr(agent.resources, "files", no_reads)
+        assert agent._template("reason_system.txt") is first
 
 
 class TestMemory:

@@ -237,6 +237,22 @@ class TestMakeBackend:
         assert isinstance(harness.make_backend("scripted"), ScriptedBackend)
 
 
+class TestTranscriptRecording:
+    def test_second_run_into_the_same_path_replaces_the_first(self, tmp_path):
+        path = tmp_path / "transcript.jsonl"
+        counts = []
+        for run_id in ("first", "second"):
+            log = TranscriptLog(path)
+            try:
+                run(sc.find("Ring 0"),
+                    harness.make_backend("scripted", log=log, run_id=run_id))
+            finally:
+                log.close()
+            counts.append(len(TranscriptLog.read(path)))
+        assert counts[0] == counts[1] > 0
+        assert {r["run_id"] for r in TranscriptLog.read(path)} == {"second"}
+
+
 class TestCli:
     def test_run_and_list(self, tmp_path):
         from click.testing import CliRunner
@@ -251,6 +267,21 @@ class TestCli:
         assert out.exit_code == 0, out.output
         assert (tmp_path / "r" / "metrics.json").exists()
         assert (tmp_path / "r" / "trajectories.csv").exists()
+
+    def test_run_refuses_to_replay_the_transcript_it_writes(self, tmp_path):
+        from click.testing import CliRunner
+        from comal.cli import main
+        out_dir = tmp_path / "r"
+        out_dir.mkdir()
+        source = out_dir / "transcript.jsonl"
+        source.write_text('{"agent_id": "a"}\n', encoding="utf-8")
+        out = CliRunner().invoke(main, [
+            "run", "--scenario", "Ring 0", "--backend", "replay",
+            "--transcript", str(out_dir / ".." / "r" / "transcript.jsonl"),
+            "--out", str(out_dir)])
+        assert out.exit_code == 2 and "--transcript" in out.output
+        assert source.read_text(encoding="utf-8") == '{"agent_id": "a"}\n'
+        assert not (out_dir / "metrics.json").exists()
 
     def test_sweep_cli(self, tmp_path):
         from click.testing import CliRunner
