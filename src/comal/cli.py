@@ -32,11 +32,33 @@ def list_cmd():
         click.echo(f"{cfg.name:<10} {cfg.topology:<14} {cfg.horizon_s:>5.0f}s  {mix}")
 
 
-def _parse_seeds(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",") if s.strip()]
+def _parse_seeds(ctx, param, text: str) -> list[int]:
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise click.BadParameter(
+            f"{text!r} is neither a range 'a..b' nor a list of integers") from None
+    if not seeds:
+        raise click.BadParameter(f"{text!r} selects no seeds")
+    return seeds
+
+
+def _parse_rates(ctx, param, text: str | None) -> list[float] | None:
+    if text is None:
+        return None
+    try:
+        rates = [float(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise click.BadParameter(f"{text!r} is not a list of numbers") from None
+    if not rates:
+        raise click.BadParameter(f"{text!r} selects no penetration rates")
+    if not all(0.0 <= r <= 1.0 for r in rates):
+        raise click.BadParameter(f"{text!r}: every rate must lie in [0, 1]")
+    return rates
 
 
 def _resolve_config(name, config_path, seed, no_collab, no_memory, no_perception):
@@ -121,9 +143,9 @@ def run_cmd(scenario_name, backend_name, seed, out_dir, config_path, no_collab,
 @main.command("sweep")
 @click.option("--scenarios", default=None,
               help="comma-separated catalog names, e.g. 'Ring 0,Ring 1'")
-@click.option("--seeds", default="0..4", show_default=True,
+@click.option("--seeds", default="0..4", show_default=True, callback=_parse_seeds,
               help="range 'a..b' or comma-separated list")
-@click.option("--penetrations", default=None,
+@click.option("--penetrations", default=None, callback=_parse_rates,
               help="comma-separated CAV rates; sweeps the merge template instead")
 @click.option("--scenario", "template_name", default="Merge 0", show_default=True,
               help="template for a penetration sweep")
@@ -135,16 +157,14 @@ def run_cmd(scenario_name, backend_name, seed, out_dir, config_path, no_collab,
 def sweep_cmd(scenarios, seeds, penetrations, template_name, backend_name,
               workers, out_path):
     """Aggregate runs over seeds, per scenario or per penetration rate."""
-    seed_list = _parse_seeds(seeds)
     if penetrations:
         template = sc.find(template_name)
-        rates = [float(p) for p in penetrations.split(",") if p.strip()]
-        table = harness.penetration_sweep(template, seed_list, rates,
+        table = harness.penetration_sweep(template, seeds, penetrations,
                                           backend_name, workers)
     elif scenarios:
         cells = [harness.SweepCell(label=name.strip(), config=sc.find(name))
                  for name in scenarios.split(",") if name.strip()]
-        table = harness.sweep(cells, seed_list, backend_name, workers)
+        table = harness.sweep(cells, seeds, backend_name, workers)
     else:
         raise click.UsageError("pass --scenarios or --penetrations")
     click.echo(table.format_table())

@@ -11,11 +11,15 @@ leader links are unchanged (links are static on closed single-lane routes).
 Recomputing gaps from floating-point positions every step would inject
 ulp-level asymmetries that the string-unstable flow amplifies; with gap
 state, a uniform ring with zero noise stays uniform bit-exactly.
+
+All per-vehicle route geometry of a step (leader links, first-come-first-
+served gating at conflict points, the spawn slot at an entry) is read from
+one ``World.route_index()``: the vehicles on each route sorted by arc.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -169,19 +173,15 @@ def failsafe_speed(v: float, gap: float, leader_speed: float, dt: float,
 
 @dataclass
 class _Reservation:
-    """First-come-first-served state of one conflict point."""
+    """First-come-first-served state of one conflict point.
+
+    ``queue`` maps each waiting vehicle id to the (route id, arc) it
+    approaches, in enrolment order; the first entry is served next.
+    """
 
     holder: str | None = None
-    holder_arc_key: tuple[str, float] | None = None  # (route_id, arc) being crossed
-    queue: list | None = None  # (enroll step, seq, vehicle id, arc key)
-    enrolled: set | None = None
-    seq: int = 0
-
-    def __post_init__(self):
-        if self.queue is None:
-            self.queue = []
-        if self.enrolled is None:
-            self.enrolled = set()
+    holder_key: tuple[str, float] | None = None  # (route_id, arc) being crossed
+    queue: dict[str, tuple[str, float]] = field(default_factory=dict)
 
 
 class _Inflow:
@@ -232,10 +232,10 @@ class RouteIndex:
 class World:
     """Mutable simulation state: vehicle arrays, links, gating, inflows.
 
-    Vehicles live in parallel arrays for the kernels; ``snapshot``
-    materializes a VehicleState view for perception and inspection. A single
-    thread owns the world; determinism given (construction, seed) is the
-    contract.
+    Vehicles live in parallel arrays for the kernels. Each step reads its
+    per-vehicle route geometry (leader links, conflict-point gating, the
+    spawn slot) from one ``route_index()``. A single thread owns the world;
+    determinism given (construction, seed) is the contract.
     """
 
     def __init__(self, network: NetworkSpec, seed: int, b_max: float = DEFAULT_B_MAX):
@@ -314,18 +314,6 @@ class World:
         i = self._index[vehicle_id]
         return IdmParams(**{k: float(self._p[k][i]) for k in self._p})
 
-    def snapshot(self, vehicle_id: str) -> VehicleState:
-        i = self._index[vehicle_id]
-        return VehicleState(
-            id=self.ids[i],
-            route_id=self.route_ids[i],
-            position=self.network.arc_to_lane(self.route_ids[i], float(self.arc[i])),
-            speed=float(self.speed[i]),
-            length=float(self.length[i]),
-            kind=self.kinds[i],
-            active_params=self.params_of(vehicle_id),
-        )
-
     def cav_ids(self) -> list[str]:
         return [vid for vid, kind in zip(self.ids, self.kinds) if kind == "cav"]
 
@@ -346,13 +334,6 @@ class World:
         self.lead_idx = np.asarray(lead_idx, dtype=np.intp).copy()
         self.gap = np.asarray(gap, dtype=np.float64).copy()
 
-    def _extent_on(self, ego_route, j: int) -> float:
-        """Visible body length of vehicle j as a leader on ``ego_route``."""
-        if self.route_ids[j] == ego_route.id:
-            return float(self.length[j])
-        return net_mod.visible_extent(self.network, ego_route, self.route_ids[j],
-                                      float(self.arc[j]), float(self.length[j]))
-
     def route_index(self) -> RouteIndex:
         """Sort the vehicles present on each route by their arc along it."""
         n = self.size
@@ -372,103 +353,86 @@ class World:
             rank[route.id][order[route.id]] = np.arange(len(idxs))
         return RouteIndex(order, arcs, rank)
 
-    def rebuild_links(self) -> None:
-        """Derive leader links and bumper gaps from current positions."""
+    def rebuild_links(self, index: RouteIndex | None = None) -> None:
+        """Derive leader links and bumper gaps from current positions.
+
+        ``index`` is the world's current ``route_index()``; without one the
+        method builds its own.
+        """
         n = self.size
         lead = np.full(n, -1, dtype=np.intp)
         gap = np.full(n, np.inf)
-        index = self.route_index()
+        if index is None:
+            index = self.route_index()
         for i in range(n):
             rid = self.route_ids[i]
             route = self.network.route(rid)
             idxs, arcs = index.order[rid], index.arcs[rid]
             k = int(index.rank[rid][i])
-            m = len(idxs)
+            k_lead = (k + 1) % len(idxs) if route.cyclic else k + 1
+            if k_lead == len(idxs):
+                continue  # front of an open route: nothing ahead
+            j = int(idxs[k_lead])
+            if j == i:  # alone on the loop: it chases itself
+                lead[i] = i
+                gap[i] = route.length - float(self.length[i])
+                continue
+            d = float(arcs[k_lead]) - float(arcs[k])
             if route.cyclic:
-                k_lead = (k + 1) % m
-                j = int(idxs[k_lead])
-                if j == i:  # alone on the loop: it chases itself
-                    lead[i] = i
-                    gap[i] = route.length - float(self.length[i])
-                else:
-                    d = (float(arcs[k_lead]) - float(arcs[k])) % route.length
-                    lead[i] = j
-                    gap[i] = d - self._extent_on(route, j)
-            else:
-                if k + 1 < m:
-                    j = int(idxs[k + 1])
-                    lead[i] = j
-                    gap[i] = float(arcs[k + 1]) - float(arcs[k]) - self._extent_on(route, j)
+                d %= route.length
+            lead[i] = j
+            gap[i] = d - net_mod.visible_extent(self.network, route, self.route_ids[j],
+                                                float(self.arc[j]), float(self.length[j]))
         self.lead_idx = lead
         self.gap = gap
 
     # -- conflict-point gating ----------------------------------------------
 
-    def _signed_dist_to(self, i: int, route_id: str, cp_arc: float) -> float | None:
-        """Signed forward distance from vehicle i's front to a route arc.
+    def _gate_distances(self, index: RouteIndex) -> dict[tuple[str, float], np.ndarray]:
+        """Every vehicle's signed front distance to each conflict arc.
 
-        Negative once the front has passed; cyclic distances wrap into
-        (-L/2, L/2]. ``None`` if the vehicle is not on that route.
+        Keyed by (route id, arc). Negative once the front has passed; cyclic
+        distances wrap into (-L/2, L/2]. NaN for vehicles not on that route.
         """
-        route = self.network.route(route_id)
-        proj = net_mod.project_onto_route(self.network, route,
-                                          self.route_ids[i], float(self.arc[i]))
-        if proj is None:
-            return None
-        if route.cyclic:
-            d = (cp_arc - proj) % route.length
-            if d > route.length / 2.0:
-                d -= route.length
-            return d
-        return cp_arc - proj
+        dist = {}
+        for cp in self.network.conflict_points:
+            for route_id, cp_arc in cp.points:
+                route = self.network.route(route_id)
+                d = cp_arc - index.arcs[route_id]
+                if route.cyclic:
+                    d = d % route.length
+                    d = np.where(d > route.length / 2.0, d - route.length, d)
+                dist[route_id, cp_arc] = np.full(self.size, np.nan)
+                dist[route_id, cp_arc][index.order[route_id]] = d
+        return dist
 
-    def _update_reservations(self) -> None:
+    def _update_reservations(self, dist: dict[tuple[str, float], np.ndarray]) -> None:
         for cp in self.network.conflict_points:
             res = self.reservations[cp.id]
             # release a holder whose rear has cleared the point (or vanished)
             if res.holder is not None:
                 hi = self._index.get(res.holder)
-                cleared = True
-                if hi is not None and res.holder_arc_key is not None:
-                    d = self._signed_dist_to(hi, *res.holder_arc_key)
-                    cleared = d is None or d < -float(self.length[hi])
-                if cleared:
+                # NaN (off the route) compares false, so it clears too
+                if hi is None or not dist[res.holder_key][hi] >= -self.length[hi]:
                     res.holder = None
-                    res.holder_arc_key = None
+                    res.holder_key = None
             # enroll vehicles inside the approach window, in arrival order
-            for i in range(self.size):
+            # (index order among those arriving in the same step)
+            inside = [(-self.length <= dist[key]) & (dist[key] <= cp.window)
+                      for key in cp.points]
+            for i in np.flatnonzero(np.logical_or.reduce(inside)):
                 vid = self.ids[i]
-                if vid == res.holder or vid in res.enrolled:
-                    continue
-                for key in cp.points:
-                    d = self._signed_dist_to(i, *key)
-                    if d is not None and -float(self.length[i]) <= d <= cp.window:
-                        res.queue.append((self.step_count, res.seq, vid, key))
-                        res.enrolled.add(vid)
-                        res.seq += 1
-                        break
+                if vid != res.holder and vid not in res.queue:
+                    res.queue[vid] = next(key for key, m in zip(cp.points, inside) if m[i])
             # drop queued vehicles that left the window region or the world
-            fresh = []
-            for entry in res.queue:
-                _, _, vid, key = entry
-                j = self._index.get(vid)
-                if j is None:
-                    res.enrolled.discard(vid)
-                    continue
-                d = self._signed_dist_to(j, *key)
-                if d is None or d < -float(self.length[j]):
-                    res.enrolled.discard(vid)
-                    continue
-                fresh.append(entry)
-            res.queue = fresh
+            res.queue = {vid: key for vid, key in res.queue.items()
+                         if (j := self._index.get(vid)) is not None
+                         and dist[key][j] >= -self.length[j]}
             if res.holder is None and res.queue:
-                res.queue.sort(key=lambda e: (e[0], e[1]))
-                _, _, vid, key = res.queue.pop(0)
-                res.enrolled.discard(vid)
-                res.holder = vid
-                res.holder_arc_key = key
+                res.holder, res.holder_key = next(iter(res.queue.items()))
+                del res.queue[res.holder]
 
-    def _virtual_gaps(self) -> np.ndarray | None:
+    def _virtual_gaps(self, dist: dict[tuple[str, float], np.ndarray]) -> np.ndarray | None:
         """Distance to a reserved conflict point, seen as a stopped leader.
 
         inf where unconstrained. The holder itself is never constrained, and
@@ -481,32 +445,23 @@ class World:
                 continue
             if vgap is None:
                 vgap = np.full(self.size, np.inf)
-            for i in range(self.size):
-                if self.ids[i] == res.holder:
-                    continue
-                for key in cp.points:
-                    d = self._signed_dist_to(i, *key)
-                    if d is not None and d > 0.0:
-                        vgap[i] = min(vgap[i], d)
+            not_holder = np.ones(self.size, dtype=bool)
+            not_holder[self._index[res.holder]] = False
+            for key in cp.points:
+                d = dist[key]
+                vgap = np.where(not_holder & (d > 0.0), np.minimum(vgap, d), vgap)
         return vgap
 
     # -- arrivals and removals ----------------------------------------------
 
-    def _try_spawn(self, inflow: _Inflow, speed_limit: float) -> bool:
+    def _try_spawn(self, inflow: _Inflow, speed_limit: float, index: RouteIndex) -> bool:
         vid, kind = inflow.pending[0]
-        route = self.network.route(inflow.route_id)
-        # nearest vehicle ahead of the entry point
-        best = math.inf
-        best_j = -1
-        for j in range(self.size):
-            proj = net_mod.project_onto_route(self.network, route,
-                                              self.route_ids[j], float(self.arc[j]))
-            if proj is not None and proj < best:
-                best = proj
-                best_j = j
         params = human_params(speed_limit)
-        if best_j >= 0:
-            entry_gap = best - float(self.length[best_j])
+        # nearest vehicle ahead of the entry point
+        ahead = index.order[inflow.route_id]
+        if len(ahead):
+            entry_gap = (float(index.arcs[inflow.route_id][0])
+                         - float(self.length[ahead[0]]))
             if entry_gap <= params.s0 + 1.0:
                 return False  # no safe slot yet; retry next step
             speed = equilibrium_speed(params, min(entry_gap, 1e6))
@@ -521,13 +476,15 @@ class World:
         inflow.pending.pop(0)
         return True
 
-    def _process_arrivals(self) -> None:
+    def _process_arrivals(self) -> RouteIndex:
+        """Spawn due arrivals; return the route index of the world after them."""
+        index = self.route_index()
         limit = self.network.speed_limit
         for inflow in self.inflows:
             inflow.poll(self.time)
-            while inflow.pending:
-                if not self._try_spawn(inflow, limit):
-                    break
+            while inflow.pending and self._try_spawn(inflow, limit, index):
+                index = self.route_index()
+        return index
 
     def _remove_finished(self) -> None:
         """Drop vehicles whose front bumper passed an open route's sink."""
@@ -566,15 +523,20 @@ def step(world: World, dt: float) -> None:
     Order: arrivals and link refresh (open networks), conflict-point
     bookkeeping, acceleration (most restrictive of real and virtual leader),
     speed update with failsafe cap, position advance, incremental gap
-    update, collision check, sink removal.
+    update, collision check, sink removal. Links, gating and spawning read
+    one route index per step, built again only after a spawn; a ring
+    without conflict points builds none.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
+    index = None
     if not world.is_closed:
-        world._process_arrivals()
-        world.rebuild_links()
+        index = world._process_arrivals()
+        world.rebuild_links(index)
+    dist = {}
     if world.reservations:
-        world._update_reservations()
+        dist = world._gate_distances(index or world.route_index())
+        world._update_reservations(dist)
     n = world.size
     world.step_count += 1
     world.time = round(world.step_count * dt, 9)
@@ -594,7 +556,7 @@ def step(world: World, dt: float) -> None:
                                    p["b"], p["delta"], p["s0"])
     cap = kernels.safe_speed(gap, lead_speed, dt, world.b_max)
 
-    vgap = world._virtual_gaps()
+    vgap = world._virtual_gaps(dist)
     if vgap is not None:
         acc_v = kernels.idm_acceleration(v, v, vgap, p["v0"], p["T"],
                                          p["a_max"], p["b"], p["delta"], p["s0"])

@@ -211,13 +211,7 @@ def arc_distance(frm: LanePosition, to: LanePosition, route: Route) -> float | N
     routes a target behind the origin has no forward distance; ``None`` is
     returned and callers must handle it. Positions off the route raise.
     """
-    a = route.arc_of(frm)
-    b = route.arc_of(to)
-    if route.cyclic:
-        return (b - a) % route.length
-    if b < a:
-        return None
-    return b - a
+    return forward_gap(route, route.arc_of(frm), route.arc_of(to))
 
 
 def forward_gap(route: Route, from_arc: float, to_arc: float, self_distance: bool = False) -> float | None:

@@ -27,3 +27,23 @@ def uniform_ring_world(n=22, length=230.0, speed_limit=30.0, noise_std=0.0,
     w.rebuild_links()
     w.set_links(w.lead_idx, np.full(n, spacing - vehicle_length))
     return w
+
+
+def signed_dist_to(world, i, route_id, cp_arc):
+    """Signed forward distance from vehicle i's front to an arc on a route.
+
+    Negative once the front has passed; cyclic distances wrap into
+    (-L/2, L/2]. ``None`` if the vehicle is not on that route. This is the
+    per-vehicle reference the vectorized gate distances are checked against.
+    """
+    route = world.network.route(route_id)
+    proj = net.project_onto_route(world.network, route, world.route_ids[i],
+                                  float(world.arc[i]))
+    if proj is None:
+        return None
+    if route.cyclic:
+        d = (cp_arc - proj) % route.length
+        if d > route.length / 2.0:
+            d -= route.length
+        return d
+    return cp_arc - proj

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from comal import dynamics as dyn
 from comal import kernels
+from comal import network as net
+from comal import scenario as sc
 
-from helpers import uniform_ring_world
+from helpers import signed_dist_to, uniform_ring_world
 
 P = dyn.IdmParams(v0=30.0, T=1.0, a_max=1.0, b=1.5, delta=4.0, s0=2.0)
 
@@ -233,6 +235,34 @@ class TestStep:
         assert w.params_of(vid) == new
 
 
+def front_distances(w) -> dict:
+    """(conflict point, vehicle id) -> front's signed distance to each arc."""
+    return {(cp.id, w.ids[i]): [signed_dist_to(w, i, *key) for key in cp.points]
+            for cp in w.network.conflict_points for i in range(w.size)}
+
+
+def step_checking_crossings(w) -> int:
+    """Step once; every front crossing a conflict arc must hold that point.
+
+    A crossing is a signed distance going from > 0 to <= 0 on one of the
+    point's arcs. The crosser must be the point's holder before or after the
+    step. Returns the number of crossings seen.
+    """
+    before = front_distances(w)
+    held = {cp: res.holder for cp, res in w.reservations.items()}
+    dyn.step(w, 0.1)
+    after = front_distances(w)
+    crossings = 0
+    for (cp, vid), ds in before.items():
+        for d0, d1 in zip(ds, after.get((cp, vid), [None] * len(ds))):
+            if d0 is not None and d1 is not None and d0 > 0.0 >= d1:
+                crossings += 1
+                assert vid in (held[cp], w.reservations[cp].holder), (
+                    f"{vid} crossed {cp} at step {w.step_count} held by "
+                    f"{held[cp]!r} then {w.reservations[cp].holder!r}")
+    return crossings
+
+
 class TestMergeWorld:
     def build(self, seed=0, pen=0.0):
         import comal.network as net
@@ -261,14 +291,13 @@ class TestMergeWorld:
                     assert (w.speed <= 30.0 + 1.0).all()
 
     def test_junction_reservation_is_exclusive(self):
-        w = self.build(seed=1)
-        holders = set()
-        for _ in range(750):
-            dyn.step(w, 0.1)
-            res = w.reservations["junction"]
-            if res.holder is not None:
-                holders.add(res.holder)
-        assert holders  # the junction saw traffic
+        worlds = [(self.build(seed=seed, pen=0.3), 750) for seed in range(3)]
+        worlds += [(sc.instantiate(sc.find(f"FE {k}")), 1500) for k in range(3)]
+        crossings = 0
+        for w, steps in worlds:
+            for _ in range(steps):
+                crossings += step_checking_crossings(w)
+        assert crossings > 0  # the gates saw traffic
 
     def test_determinism_with_arrivals(self):
         def metrics(seed):
@@ -282,3 +311,78 @@ class TestMergeWorld:
 
         assert metrics(5) == metrics(5)
         assert metrics(5) != metrics(6)
+
+
+GATED_NETWORKS = {
+    "figure_eight": net.build_figure_eight(30.0, 30.0),
+    "merge": net.build_merge(600.0, 100.0, 30.0),
+}
+
+
+def add_at(w, vid, route_id, arc, length=5.0):
+    w.add_vehicle(dyn.VehicleState(
+        id=vid, route_id=route_id, position=w.network.arc_to_lane(route_id, arc),
+        speed=5.0, length=length, kind="human",
+        active_params=dyn.human_params(30.0)), 0.0)
+
+
+@st.composite
+def gated_worlds(draw):
+    """Vehicles anywhere, on or next to a conflict arc, or half a lap from it."""
+    network = GATED_NETWORKS[draw(st.sampled_from(sorted(GATED_NETWORKS)))]
+    w = dyn.World(network, seed=0)
+    for k in range(draw(st.integers(0, 12))):
+        rid = draw(st.sampled_from(sorted(network.routes)))
+        route = network.route(rid)
+        at = st.sampled_from([arc for cp in network.conflict_points
+                              for r, arc in cp.points if r == rid])
+        options = [st.floats(0.0, route.length, exclude_max=True),
+                   at.flatmap(lambda a: st.floats(-8.0, 8.0).map(lambda dx: a + dx))]
+        if route.cyclic:
+            options.append(at.map(lambda a: (a + route.length / 2.0) % route.length))
+        arc = min(max(draw(st.one_of(options)), 0.0), math.nextafter(route.length, 0.0))
+        add_at(w, f"v{k:02d}", rid, arc, draw(st.sampled_from([2.0, 5.0, 12.0])))
+    return w
+
+
+def assert_gate_distances_match_reference(w):
+    dist = w._gate_distances(w.route_index())
+    keys = [key for cp in w.network.conflict_points for key in cp.points]
+    assert sorted(dist) == sorted(keys)
+    for key in keys:
+        assert dist[key].shape == (w.size,)
+        for i in range(w.size):
+            ref = signed_dist_to(w, i, *key)
+            if ref is None:
+                assert math.isnan(dist[key][i])
+            else:  # same bits, sign of zero included
+                assert dist[key][i].tobytes() == np.float64(ref).tobytes()
+
+
+class TestGateDistances:
+    @settings(max_examples=300, deadline=None)
+    @given(gated_worlds())
+    def test_match_per_vehicle_reference(self, w):
+        assert_gate_distances_match_reference(w)
+
+    def test_merge_roadways_and_a_straddling_vehicle(self):
+        w = dyn.World(GATED_NETWORKS["merge"], seed=0)
+        add_at(w, "ramp_edge", "ramp", 50.0)
+        add_at(w, "upstream", "highway", 100.0)
+        add_at(w, "straddling", "ramp", 102.0)  # front 2 m onto the shared edge
+        dist = w._gate_distances(w.route_index())
+        hw, ramp = dist["highway", 400.0], dist["ramp", 100.0]
+        assert math.isnan(hw[0]) and ramp[0] == 50.0
+        assert hw[1] == 300.0 and math.isnan(ramp[1])
+        assert hw[2] == -2.0 and ramp[2] == -2.0
+        assert_gate_distances_match_reference(w)
+
+    def test_half_a_lap_from_the_crossing_reads_forward(self):
+        network = GATED_NETWORKS["figure_eight"]
+        half = network.route("eight").length / 2.0
+        w = dyn.World(network, seed=0)
+        add_at(w, "far", "eight", half)
+        dist = w._gate_distances(w.route_index())
+        assert dist["eight", 0.0][0] == half  # (-L/2, L/2]: +L/2, not -L/2
+        assert dist["eight", half][0] == 0.0
+        assert_gate_distances_match_reference(w)

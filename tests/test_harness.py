@@ -295,6 +295,18 @@ class TestCli:
         assert out.exit_code == 0, out.output
         assert (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("option,value", [
+        ("--seeds", "5..3"), ("--seeds", "a,b"), ("--seeds", "1..x"),
+        ("--seeds", ","), ("--penetrations", "0.1,high"), ("--penetrations", ","),
+        ("--penetrations", "0.5,1.5"),
+    ])
+    def test_sweep_rejects_malformed_lists(self, option, value):
+        from click.testing import CliRunner
+        from comal.cli import main
+        out = CliRunner().invoke(main, ["sweep", "--scenarios", "Ring 0", option, value])
+        assert out.exit_code == 2, out.output
+        assert f"Invalid value for '{option}'" in out.output
+
 
 def write_mini_override(tmp_path):
     import json as _json
