@@ -1,8 +1,10 @@
 """Longitudinal dynamics: IDM car following, failsafe, and the integrator.
 
 The world steps with explicit Euler at a fixed dt. Human vehicles get
-additive Gaussian acceleration noise from per-vehicle seeded streams;
-controlled vehicles are noise-free. A kinematic failsafe caps every speed
+additive Gaussian acceleration noise from per-vehicle seeded streams, drawn
+ahead in blocks per vehicle and added as one array per step; the values are
+those of one ``NoiseModel.sample`` call per vehicle per step, bit for bit.
+Controlled vehicles are noise-free. A kinematic failsafe caps every speed
 update so a vehicle can always stop behind its leader at the emergency
 deceleration bound, and any non-positive bumper gap aborts the run.
 
@@ -37,6 +39,8 @@ DEFAULT_DT = 0.1  # s
 DEFAULT_B_MAX = 4.5  # m/s^2, emergency braking bound for the failsafe
 DEFAULT_NOISE_STD = 0.2  # m/s^2, human acceleration noise
 DEFAULT_VEHICLE_LENGTH = 5.0  # m
+
+_NOISE_BLOCK = 64  # standard-normal draws taken from a vehicle's stream at once
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,10 @@ class NoiseModel:
     from N(0, std/sqrt(dt)), so the speed diffusion it drives is independent
     of the step size. A zero std draws nothing, leaving the stream and the
     run untouched.
+
+    ``sample`` is the one-draw reference. The world draws ``block(k)`` and
+    scales it by ``std / sqrt(dt)`` itself, which gives the same values as k
+    ``sample`` calls from the same stream, bit for bit.
     """
 
     def __init__(self, std: float, seed_seq: np.random.SeedSequence):
@@ -104,6 +112,10 @@ class NoiseModel:
         if self.std == 0.0:
             return 0.0
         return self._rng.normal(0.0, self.std / math.sqrt(dt))
+
+    def block(self, k: int) -> np.ndarray:
+        """The stream's next k standard-normal draws, unscaled."""
+        return self._rng.standard_normal(k)
 
 
 class CollisionError(RuntimeError):
@@ -255,6 +267,11 @@ class World:
         self._cyclic = np.empty(0, dtype=bool)
         self._p = {k: np.empty(0) for k in ("v0", "T", "a_max", "b", "delta", "s0")}
         self.noise: list[NoiseModel] = []
+        self._noise_std = np.empty(0)
+        # per vehicle: a block of its stream's draws and the index of the next
+        # one (_NOISE_BLOCK once used up); noise-free rows stay 0 at index 0
+        self._noise_block = np.empty((0, _NOISE_BLOCK))
+        self._noise_pos = np.empty(0, dtype=np.intp)
         self.lead_idx = np.empty(0, dtype=np.intp)
         self.gap = np.empty(0)
         self._index: dict[str, int] = {}
@@ -294,6 +311,9 @@ class World:
         for key in self._p:
             self._p[key] = np.append(self._p[key], getattr(state.active_params, key))
         self.noise.append(NoiseModel(noise_std, self._seedseq.spawn(1)[0]))
+        self._noise_std = np.append(self._noise_std, noise_std)
+        self._noise_block = np.append(self._noise_block, np.zeros((1, _NOISE_BLOCK)), axis=0)
+        self._noise_pos = np.append(self._noise_pos, _NOISE_BLOCK if noise_std > 0 else 0)
         self.lead_idx = np.append(self.lead_idx, -1)
         self.gap = np.append(self.gap, np.inf)
 
@@ -452,6 +472,26 @@ class World:
                 vgap = np.where(not_holder & (d > 0.0), np.minimum(vgap, d), vgap)
         return vgap
 
+    # -- acceleration noise --------------------------------------------------
+
+    def _noise(self, dt: float) -> np.ndarray | None:
+        """This step's acceleration noise per vehicle; None if all are noise-free.
+
+        Each noisy vehicle takes the next draw of its own block and refills
+        the block from its stream when it is used up, so spawns and removals
+        leave every other vehicle's sequence alone.
+        """
+        noisy = self._noise_std > 0.0
+        if not noisy.any():
+            return None
+        due = np.flatnonzero(self._noise_pos == _NOISE_BLOCK)
+        for i in due.tolist():
+            self._noise_block[i] = self.noise[i].block(_NOISE_BLOCK)
+        self._noise_pos[due] = 0
+        z = self._noise_block[np.arange(self.size), self._noise_pos]
+        self._noise_pos += noisy
+        return z * (self._noise_std / math.sqrt(dt))
+
     # -- arrivals and removals ----------------------------------------------
 
     def _try_spawn(self, inflow: _Inflow, speed_limit: float, index: RouteIndex) -> bool:
@@ -499,6 +539,9 @@ class World:
         self.route_ids = [v for v, k in zip(self.route_ids, keep) if k]
         self.kinds = [v for v, k in zip(self.kinds, keep) if k]
         self.noise = [v for v, k in zip(self.noise, keep) if k]
+        self._noise_std = self._noise_std[keep]
+        self._noise_block = self._noise_block[keep]
+        self._noise_pos = self._noise_pos[keep]
         self.arc = self.arc[keep]
         self.speed = self.speed[keep]
         self.length = self.length[keep]
@@ -506,6 +549,11 @@ class World:
         self._cyclic = self._cyclic[keep]
         for key in self._p:
             self._p[key] = self._p[key][keep]
+        # renumber links; a vehicle whose leader left is now a route's front
+        lead = self.lead_idx[keep]
+        linked = (lead >= 0) & keep[lead]
+        self.lead_idx = np.where(linked, np.cumsum(keep)[lead] - 1, -1)
+        self.gap = np.where(linked, self.gap[keep], np.inf)
         self._index = {vid: i for i, vid in enumerate(self.ids)}
 
     def _check_gaps(self) -> None:
@@ -563,8 +611,9 @@ def step(world: World, dt: float) -> None:
         acc = np.minimum(acc, acc_v)
         cap = np.minimum(cap, kernels.safe_speed(vgap, np.zeros(n), dt, world.b_max))
 
-    if any(nm.std > 0.0 for nm in world.noise):
-        acc = acc + np.array([nm.sample(dt) for nm in world.noise])
+    noise = world._noise(dt)
+    if noise is not None:
+        acc = acc + noise
 
     v_new = np.maximum(0.0, v + acc * dt)
     v_new = np.minimum(v_new, np.maximum(cap, 0.0))

@@ -9,11 +9,16 @@ scripted backend).
 """
 from __future__ import annotations
 
+import bisect
 import csv
+import io
+import itertools
 import json
 import math
+import operator
 import os
 import tempfile
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -39,13 +44,83 @@ class TrajectorySample:
     speed: float
 
 
+class TrajectorySamples(Sequence):
+    """A run's samples, held as one set of columns per recorded step.
+
+    Each step keeps its time, the ids of the vehicles present (one list,
+    shared by consecutive steps with the same population), and their
+    positions and speeds as arrays. It reads as a sequence of
+    :class:`TrajectorySample` in step order, then vehicle order, and
+    compares equal to any list or tuple of the same samples.
+    """
+
+    def __init__(self):
+        self.times: list[float] = []
+        self.ids: list[list[str]] = []
+        self.positions: list[np.ndarray] = []
+        self.speeds: list[np.ndarray] = []
+        self._ends: list[int] = []  # samples up to and including each step
+
+    @classmethod
+    def of(cls, samples) -> TrajectorySamples:
+        """``samples`` as columns; each run of equal times becomes one step."""
+        if isinstance(samples, cls):
+            return samples
+        out = cls()
+        for time, group in itertools.groupby(samples, key=operator.attrgetter("time")):
+            group = list(group)
+            out.append(time, [s.vehicle_id for s in group],
+                       [s.position for s in group], [s.speed for s in group])
+        return out
+
+    def append(self, time: float, ids, positions, speeds) -> None:
+        """Record one step, copying ``positions`` and ``speeds``."""
+        if not self.ids or self.ids[-1] != ids:
+            self.ids.append(list(ids))
+        else:
+            self.ids.append(self.ids[-1])
+        self.times.append(time)
+        self.positions.append(np.array(positions, dtype=float))
+        self.speeds.append(np.array(speeds, dtype=float))
+        self._ends.append(len(self) + len(ids))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("sample index out of range")
+        k = bisect.bisect_right(self._ends, i)
+        j = i - (self._ends[k - 1] if k else 0)
+        return TrajectorySample(self.times[k], self.ids[k][j],
+                                float(self.positions[k][j]), float(self.speeds[k][j]))
+
+    def __iter__(self):
+        for time, ids, pos, speed in zip(self.times, self.ids, self.positions, self.speeds):
+            for vid, x, v in zip(ids, pos.tolist(), speed.tolist()):
+                yield TrajectorySample(time, vid, x, v)
+
+    def __eq__(self, other):
+        if not isinstance(other, (TrajectorySamples, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"TrajectorySamples({len(self)} samples, {len(self.times)} steps)"
+
+
 @dataclass
 class RunResult:
     """Everything a run produces besides side-effect files."""
 
     avg_speed: float
     speed_std: float
-    samples: list
+    samples: TrajectorySamples
     flags: dict
     seed: int
     config: dict
@@ -61,9 +136,12 @@ def metrics(samples, warmup: float) -> tuple[float, float]:
     """Pooled mean and population std of post-warmup speeds.
 
     A sample belongs to the measurement window only when its time is
-    strictly after the warmup instant.
+    strictly after the warmup instant. ``samples`` is a
+    :class:`TrajectorySamples` or any iterable of :class:`TrajectorySample`.
     """
-    speeds = np.array([s.speed for s in samples if s.time > warmup])
+    cols = TrajectorySamples.of(samples)
+    speeds = np.concatenate([np.empty(0)] + [
+        v for t, v in zip(cols.times, cols.speeds) if t > warmup])
     if speeds.size == 0:
         raise ValueError("no post-warmup samples")
     return float(speeds.mean()), float(speeds.std())
@@ -134,12 +212,10 @@ def run(cfg: sc.ScenarioConfig, backend=None, *, memory: MemoryStore | None = No
     warm_steps = int(round(cfg.warmup_s / dt))
     replan_steps = max(1, int(round(cfg.replan_interval_s / dt)))
 
-    samples: list[TrajectorySample] = []
+    samples = TrajectorySamples()
 
     def record():
-        for i in range(world.size):
-            samples.append(TrajectorySample(world.time, world.ids[i],
-                                            float(world.arc[i]), float(world.speed[i])))
+        samples.append(world.time, world.ids, world.arc, world.speed)
 
     record()
     collaborated = False
@@ -168,7 +244,7 @@ def run(cfg: sc.ScenarioConfig, backend=None, *, memory: MemoryStore | None = No
         memory.add(summary, persist_dir=memory_writeback_dir)
     return RunResult(
         avg_speed=avg, speed_std=std,
-        samples=samples if keep_samples else [],
+        samples=samples if keep_samples else TrajectorySamples(),
         flags=flags.to_dict(), seed=cfg.seed, config=cfg.to_dict(),
         roles=dict(pipeline.roles), planner_log=pipeline.planner_log)
 
@@ -190,11 +266,20 @@ def _atomic_write(directory, filename: str, write_fn) -> str:
         raise
 
 
+def _csv_field(value: str) -> str:
+    """``value`` as the csv module writes it inside a row, quoted if needed."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", value])
+    return buf.getvalue()[1:-2]  # drop the leading delimiter and the "\r\n"
+
+
 def export(result: RunResult, directory) -> dict:
     """Write metrics.json and trajectories.csv atomically.
 
-    Returns the paths written. The transcript log (when a recording backend
-    ran) is written live during the run, not here.
+    Returns the paths written. The CSV holds one row per sample, written
+    one step at a time; it is byte-identical to writing every row through
+    ``csv.writer``. The transcript log (when a recording backend ran) is
+    written live during the run, not here.
     """
     os.makedirs(directory, exist_ok=True)
     paths = {}
@@ -204,11 +289,21 @@ def export(result: RunResult, directory) -> dict:
                                        indent=2) + "\n"))
 
     def write_csv(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["time", "vehicle_id", "position", "speed"])
-        for s in result.samples:
-            writer.writerow([repr(s.time), s.vehicle_id, repr(s.position),
-                             repr(s.speed)])
+        csv.writer(fh).writerow(["time", "vehicle_id", "position", "speed"])
+        cols = TrajectorySamples.of(result.samples)
+        field: dict[str, str] = {}  # vehicle id -> its CSV field
+        ids = id_fields = None
+        for time, step_ids, pos, speed in zip(cols.times, cols.ids, cols.positions,
+                                               cols.speeds):
+            if step_ids is not ids:
+                ids = step_ids
+                for v in ids:
+                    if v not in field:
+                        field[v] = _csv_field(v)
+                id_fields = [field[v] for v in ids]
+            t = repr(time)
+            fh.write("".join([f"{t},{f},{x!r},{v!r}\r\n" for f, x, v
+                              in zip(id_fields, pos.tolist(), speed.tolist())]))
 
     paths["trajectories"] = _atomic_write(directory, "trajectories.csv", write_csv)
     return paths

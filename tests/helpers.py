@@ -1,4 +1,7 @@
 """Shared builders for tests."""
+import csv
+import io
+
 import numpy as np
 
 from comal import dynamics as dyn
@@ -47,3 +50,17 @@ def signed_dist_to(world, i, route_id, cp_arc):
             d -= route.length
         return d
     return cp_arc - proj
+
+
+def reference_trajectories_csv(samples) -> bytes:
+    """trajectories.csv written one ``csv.writer`` row per sample.
+
+    This is the per-sample export the step-at-a-time writer in
+    ``harness.export`` must reproduce byte for byte.
+    """
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["time", "vehicle_id", "position", "speed"])
+    for s in samples:
+        writer.writerow([repr(s.time), s.vehicle_id, repr(s.position), repr(s.speed)])
+    return buf.getvalue().encode("utf-8")

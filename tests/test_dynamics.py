@@ -1,9 +1,10 @@
 """IDM math, equilibrium, failsafe, noise, and the integrator."""
+import copy
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from comal import dynamics as dyn
@@ -386,3 +387,138 @@ class TestGateDistances:
         assert dist["eight", 0.0][0] == half  # (-L/2, L/2]: +L/2, not -L/2
         assert dist["eight", half][0] == 0.0
         assert_gate_distances_match_reference(w)
+
+
+def merge_world(seed, noise_std, pen=0.3, highway=300.0):
+    """A short merge fed by both inflows, so vehicles spawn and leave early."""
+    w = dyn.World(net.build_merge(highway, 60.0, 30.0), seed=seed)
+    w.default_noise_std = noise_std
+    w.add_inflow("highway", 2000.0, cav_fraction=pen, id_prefix="hw")
+    w.add_inflow("ramp", 400.0, cav_fraction=pen, id_prefix="ramp")
+    return w
+
+
+def step_checking_noise(w, dts):
+    """Step ``w`` once per dt; each step's noise must equal per-vehicle samples.
+
+    The reference is a copy of each vehicle's noise stream taken when the
+    vehicle is added, drawn with one ``NoiseModel.sample(dt)`` per vehicle
+    per step. Returns (spawns while another noisy vehicle was part-way
+    through its block, vehicles removed).
+    """
+    refs = {vid: copy.deepcopy(nm) for vid, nm in zip(w.ids, w.noise)}
+    seen = {"mid_block_spawns": 0, "draws": []}
+    add_vehicle, draw = w.add_vehicle, w._noise
+
+    def add_and_copy_stream(state, noise_std):
+        pos = w._noise_pos[w._noise_std > 0]
+        seen["mid_block_spawns"] += bool(((pos > 0) & (pos < dyn._NOISE_BLOCK)).any())
+        add_vehicle(state, noise_std)
+        refs[state.id] = copy.deepcopy(w.noise[-1])
+
+    def recorded_draw(dt):
+        out = draw(dt)
+        seen["draws"].append((list(w.ids), out))
+        return out
+
+    w.add_vehicle, w._noise = add_and_copy_stream, recorded_draw
+    for dt in dts:
+        seen["draws"].clear()
+        dyn.step(w, dt)
+        for ids, out in seen["draws"]:
+            want = np.array([refs[vid].sample(dt) for vid in ids])
+            if out is None:  # nobody noisy: nothing is added
+                assert (want == 0.0).all()
+            else:  # same bits, sign of zero included
+                assert out.tobytes() == want.tobytes()
+    return seen["mid_block_spawns"], w.removed_count
+
+
+class TestBlockNoise:
+    def test_block_equals_sequential_samples(self):
+        a = dyn.NoiseModel(0.3, np.random.SeedSequence(11))
+        b = dyn.NoiseModel(0.3, np.random.SeedSequence(11))
+        want = np.array([a.sample(0.1) for _ in range(1000)])
+        got = np.concatenate([b.block(100) for _ in range(10)]) * (0.3 / math.sqrt(0.1))
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=12, deadline=None)
+    @given(kind=st.sampled_from(["ring", "merge"]), seed=st.integers(0, 2**16),
+           noise_std=st.sampled_from([0.0, 0.05, 0.2, 0.6]),
+           dt=st.sampled_from([0.1, 0.2, 0.25]), n=st.integers(1, 30))
+    def test_matches_per_vehicle_samples(self, kind, seed, noise_std, dt, n):
+        if kind == "ring":
+            w = uniform_ring_world(n=n, length=12.0 * n, noise_std=noise_std,
+                                   seed=seed, cav_indices=range(0, n, 4))
+        else:
+            w = merge_world(seed, noise_std)
+        step_checking_noise(w, [dt] * int(round(40.0 / dt)))
+
+    def test_spawns_mid_block_and_removals(self):
+        w = merge_world(seed=3, noise_std=0.2)
+        mid_block_spawns, removed = step_checking_noise(w, [0.1] * 600)
+        assert mid_block_spawns > 0 and removed > 0
+
+    def test_noise_free_vehicles_add_exact_zero_and_never_draw(self):
+        w = uniform_ring_world(n=8, noise_std=0.3, seed=2, cav_indices=(1, 5))
+        states = [copy.deepcopy(w.noise[i]._rng.bit_generator.state) for i in (1, 5)]
+        draws, draw = [], w._noise
+
+        def recorded_draw(dt):
+            draws.append(draw(dt))
+            return draws[-1]
+
+        w._noise = recorded_draw
+        for _ in range(3 * dyn._NOISE_BLOCK):
+            dyn.step(w, 0.1)
+        quiet = np.array([d[[1, 5]] for d in draws])
+        assert (quiet == 0.0).all() and not np.signbit(quiet).any()
+        assert [w.noise[i]._rng.bit_generator.state for i in (1, 5)] == states
+
+    def test_step_size_may_change_between_steps(self):
+        w = uniform_ring_world(n=5, noise_std=0.2, seed=4)
+        step_checking_noise(w, [0.1, 0.05, 0.2] * 50)
+
+
+class TestPerVehicleArrays:
+    def test_every_array_matches_the_population_after_each_step(self):
+        w = merge_world(seed=1, noise_std=0.2, highway=600.0)
+        for _ in range(750):
+            dyn.step(w, 0.1)
+            arrays = {"lead_idx": w.lead_idx, "gap": w.gap, "ids": w.ids,
+                      "route_ids": w.route_ids, "kinds": w.kinds, "noise": w.noise,
+                      "arc": w.arc, "speed": w.speed, "length": w.length,
+                      "_route_len": w._route_len, "_cyclic": w._cyclic,
+                      "_noise_std": w._noise_std, "_noise_block": w._noise_block,
+                      "_noise_pos": w._noise_pos,
+                      **{f"_p[{k}]": v for k, v in w._p.items()}}
+            assert {k: len(v) for k, v in arrays.items()} == dict.fromkeys(arrays, w.size)
+            assert ((w.lead_idx >= -1) & (w.lead_idx < w.size)).all()
+        assert w.removed_count > 0
+
+    def test_removal_renumbers_links(self):
+        w = merge_world(seed=1, noise_std=0.2, highway=600.0)
+        while not w.removed_count:
+            dyn.step(w, 0.1)
+        lead, gap = w.lead_idx.copy(), w.gap.copy()
+        w.rebuild_links()
+        np.testing.assert_array_equal(lead, w.lead_idx)
+        np.testing.assert_allclose(gap, w.gap, rtol=0, atol=1e-9)
+
+
+class TestRingInvariantsAtScale:
+    @settings(max_examples=20, deadline=None)
+    @example(n=352, spacing=3680.0 / 352, noise_std=0.2, seed=0, cav_every=352)
+    @given(n=st.integers(2, 352), spacing=st.floats(8.0, 30.0),
+           noise_std=st.floats(0.0, 1.0), seed=st.integers(0, 2**16),
+           cav_every=st.integers(1, 50))
+    def test_noisy_closed_ring(self, n, spacing, noise_std, seed, cav_every):
+        length = n * spacing
+        w = uniform_ring_world(n=n, length=length, noise_std=noise_std, seed=seed,
+                               cav_indices=range(0, n, cav_every))
+        ids = list(w.ids)
+        for _ in range(300):
+            dyn.step(w, 0.1)  # a CollisionError fails the property
+            assert (w.speed >= 0.0).all()
+            assert w.ids == ids
+            assert abs(w.gap.sum() + w.length.sum() - length) <= 1e-6 * length

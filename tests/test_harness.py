@@ -10,9 +10,11 @@ from comal import dynamics as dyn
 from comal import harness
 from comal import scenario as sc
 from comal.agent import ScriptedBackend
-from comal.harness import (RunResult, SweepCell, TrajectorySample, export,
-                           import_trajectories, metrics, run, sweep)
+from comal.harness import (RunResult, SweepCell, TrajectorySample, TrajectorySamples,
+                           export, import_trajectories, metrics, run, sweep)
 from comal.llm_client import RecordingBackend, ReplayBackend, TranscriptLog
+
+from helpers import reference_trajectories_csv
 
 MINI_RING = sc.ScenarioConfig(name="Mini Ring", topology="ring", horizon_s=30.0,
                               warmup_s=5.0, n_humans=4, n_cavs=2)
@@ -154,6 +156,82 @@ class TestExport:
         with pytest.raises(IOError):
             harness._atomic_write(tmp_path, "out.txt", boom)
         assert list(tmp_path.iterdir()) == []
+
+
+def hand_built_result(samples) -> RunResult:
+    return RunResult(avg_speed=1.0, speed_std=0.0, samples=samples, flags={},
+                     seed=0, config={}, roles={}, planner_log=[])
+
+
+AWKWARD_SAMPLES = [
+    TrajectorySample(0.0, "plain", -0.0, 1e-05),
+    TrajectorySample(0.0, "with,comma", 1.2345678901234568e+17, -0.0),
+    TrajectorySample(0.0, 'with "quote"', 0.1, 2.5),
+    TrajectorySample(0.1, "with,comma", 1e-05, 1.2345678901234568e+17),
+    TrajectorySample(0.1, "", 3.0, 0.0),
+    TrajectorySample(0.1, "line\nbreak", 4.0, 7.0),
+    TrajectorySample(0.2, "plain", 5.5, 1e-05),
+]
+
+
+class TestColumnarSamples:
+    def test_export_matches_per_sample_writer_on_a_run(self, tmp_path):
+        result = run(MINI_RING.replace(seed=5))
+        paths = export(result, tmp_path)
+        assert isinstance(result.samples, TrajectorySamples)
+        with open(paths["trajectories"], "rb") as fh:
+            assert fh.read() == reference_trajectories_csv(result.samples)
+
+    def test_export_matches_per_sample_writer_on_awkward_ids_and_floats(self, tmp_path):
+        paths = export(hand_built_result(AWKWARD_SAMPLES), tmp_path)
+        with open(paths["trajectories"], "rb") as fh:
+            written = fh.read()
+        assert written == reference_trajectories_csv(AWKWARD_SAMPLES)
+        assert b'"with,comma"' in written and b'"with ""quote"""' in written
+        assert b"-0.0" in written and b"1e-05" in written
+        assert b"1.2345678901234568e+17" in written
+        assert import_trajectories(paths["trajectories"]) == AWKWARD_SAMPLES
+
+    def test_columns_and_list_give_the_same_metrics_bits(self):
+        result = run(MINI_RING.replace(seed=6))
+        cols = metrics(result.samples, MINI_RING.warmup_s)
+        listed = metrics(list(result.samples), MINI_RING.warmup_s)
+        assert [x.hex() for x in cols] == [x.hex() for x in listed]
+        assert [x.hex() for x in cols] == [result.avg_speed.hex(), result.speed_std.hex()]
+
+    def test_import_equals_samples_both_ways(self, tmp_path):
+        result = run(MINI_RING.replace(seed=8))
+        back = import_trajectories(export(result, tmp_path)["trajectories"])
+        assert back == result.samples
+        assert result.samples == back
+        assert result.samples != back[:-1]
+        assert back[:-1] != result.samples
+
+    def test_reads_as_a_sequence_of_samples(self):
+        result = run(MINI_RING)
+        samples = result.samples
+        listed = list(samples)
+        assert len(samples) == len(listed) == 6 * 301
+        assert samples[0] == listed[0] and samples[-1] == listed[-1]
+        assert samples[7] == listed[7] and samples[-8] == listed[-8]
+        assert samples[5:9] == listed[5:9]
+        assert samples == listed and samples == tuple(listed)
+        assert samples == TrajectorySamples.of(listed)
+        with pytest.raises(IndexError):
+            samples[len(listed)]
+        assert all(ids is samples.ids[0] for ids in samples.ids)  # one shared list
+
+    def test_recording_copies_the_arrays(self):
+        cols = TrajectorySamples()
+        arc, speed = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        cols.append(0.0, ["a", "b"], arc, speed)
+        arc[:] = speed[:] = 0.0
+        assert list(cols) == [TrajectorySample(0.0, "a", 1.0, 3.0),
+                              TrajectorySample(0.0, "b", 2.0, 4.0)]
+
+    def test_without_samples_is_empty(self):
+        result = run(MINI_RING, keep_samples=False)
+        assert len(result.samples) == 0 and result.samples == []
 
 
 class TestReplayFlow:
