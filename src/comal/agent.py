@@ -15,12 +15,15 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 import pathlib
 import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Protocol
+
+import numpy as np
 
 from . import dynamics as dyn
 from . import network as net_mod
@@ -98,85 +101,138 @@ class SceneDescription:
                  for vid, kind, gap, speed in self.neighbors]
         return "[NEIGHBORS] " + "; ".join(parts)
 
-    @property
+    @functools.cached_property
     def text(self) -> str:
+        """The whole rendering, built on first use and kept with the scene."""
         return "\n".join((self.map_text, self.ego_text, self.neighbors_text))
 
 
+_BY_GAP_THEN_ID = operator.itemgetter(2, 0)  # the order neighbors are listed in
+_NO_VEHICLE = np.iinfo(np.intp).max  # above every vehicle index
+
+
 def perceive(world, ego_id: str, horizon: float, index=None) -> SceneDescription:
-    """Render the scene around ``ego_id``.
+    """Render the scene around ``ego_id``: :func:`perceive_all` for one vehicle."""
+    return perceive_all(world, [ego_id], horizon, index)[0]
 
-    Neighbors are the vehicles ahead on the ego route within ``horizon``
-    meters of bumper gap, nearest first. Rendering is a pure function of
-    the world state: identical worlds yield identical bytes.
 
-    ``index`` is the world's current ``route_index()``; callers perceiving
-    for many vehicles of one unchanged world build it once and pass it in.
-    Perception then walks forward from the ego along its route's sorted
-    order, so its cost grows with the vehicles it passes, not the world.
+def perceive_all(world, ego_ids, horizon: float, index=None) -> list[SceneDescription]:
+    """Render the scene around each vehicle of ``ego_ids``, in that order.
+
+    The leader is the nearest vehicle ahead on the ego route (ties go to the
+    lowest vehicle index; alone on a loop, the ego leads itself one lap
+    ahead). Neighbors are the vehicles ahead within ``horizon`` meters of
+    bumper gap, nearest first. Rendering is a pure function of the world
+    state: identical worlds yield identical bytes.
+
+    ``index`` is the world's current ``route_index()``, built when omitted.
+    The egos of one route are perceived together, in one pass of numpy over
+    their windows of the route's sorted order (see ``_perceive_route``).
     """
-    if ego_id not in world._index:
-        raise KeyError(f"unknown vehicle {ego_id!r}")
+    egos = []
+    for vid in ego_ids:
+        if vid not in world._index:
+            raise KeyError(f"unknown vehicle {vid!r}")
+        egos.append(world.index_of(vid))
     if index is None:
         index = world.route_index()
-    i = world.index_of(ego_id)
+    by_route: dict[str, list[int]] = {}
+    for q, i in enumerate(egos):
+        by_route.setdefault(world.route_ids[i], []).append(q)
+    scenes = [None] * len(egos)
+    for route_id, members in by_route.items():
+        found = _perceive_route(world, index, route_id, [egos[q] for q in members], horizon)
+        for q, scene in zip(members, found):
+            scenes[q] = scene
+    return scenes
+
+
+def _perceive_route(world, index, route_id: str, egos: list[int],
+                    horizon: float) -> list[SceneDescription]:
+    """Scenes of the egos on one route, whose sorted order is ``index``'s.
+
+    Each ego's candidates are a contiguous slice of the route order after
+    it, wrapped on a loop so that a full lap ends on the ego itself. Forward
+    gaps are ``(arc - ego_arc) % length`` in float64, the same IEEE
+    operations as ``network.forward_gap``. No visible extent exceeds the
+    longest vehicle, so every neighbor's forward gap is at most ``limit``;
+    ``np.searchsorted`` bounds that slice, widened by a margin far above
+    rounding error (the exact tests below decide, so a wider slice only
+    costs time). A leader found within ``limit`` has every nearer or tied
+    vehicle in the slice too; an ego whose leader is farther away is looked
+    at again over its whole lap or the rest of its open route.
+    """
     network = world.network
-    route = network.route(world.route_ids[i])
-    ego_arc = float(world.arc[i])
-    order, arcs = index.order[route.id], index.arcs[route.id]
-    k = int(index.rank[route.id][i])
-    m = len(order)
-    # Forward gaps only grow along the walk (route arcs are sorted, and a
-    # cyclic route's arcs lie in [0, length)); a cyclic walk ends on the ego
-    # itself, one full lap ahead. No vehicle's visible extent exceeds its
-    # length, so once ``d - max_length`` passes the horizon no later vehicle
-    # is a neighbor, and once ``d`` also passes the leader's none leads.
-    walk = range(k + 1, k + 1 + m) if route.cyclic else range(k + 1, m)
-    max_length = float(world.length.max())
-    leader_j, leader_d = -1, math.inf
-    neighbors = []
-    for pos in walk:
-        pos %= m
-        j = int(order[pos])
-        d = net_mod.forward_gap(route, ego_arc, float(arcs[pos]),
-                                self_distance=(j == i))
-        if d is None or d <= 0.0:
-            continue
-        if d > leader_d and d - max_length > horizon:
-            break
-        if d < leader_d or (d == leader_d and j < leader_j):  # as leader_of
-            leader_j, leader_d = j, d
-        if j == i:
-            continue
-        extent = net_mod.visible_extent(network, route, world.route_ids[j],
-                                        float(world.arc[j]), float(world.length[j]))
-        gap = d - extent
-        if 0.0 < gap <= horizon:
-            neighbors.append((world.ids[j], world.kinds[j], gap, float(world.speed[j])))
-    if leader_j < 0:
-        leader_id, headway, leader_speed = None, math.inf, 0.0
-    else:
-        extent = net_mod.visible_extent(network, route, world.route_ids[leader_j],
-                                        float(world.arc[leader_j]),
-                                        float(world.length[leader_j]))
-        leader_id = world.ids[leader_j]
-        headway = leader_d - extent
-        leader_speed = float(world.speed[leader_j])
-    neighbors.sort(key=lambda item: (item[2], item[0]))
-    return SceneDescription(
-        scenario_tag=network.kind,
-        ego_id=ego_id,
-        ego_speed=float(world.speed[i]),
-        headway=headway,
-        leader_id=leader_id,
-        leader_speed=leader_speed,
-        speed_limit=network.speed_limit,
-        route_length=route.length,
-        cyclic=route.cyclic,
-        intersections=len(network.conflict_points),
-        position_arc=ego_arc,
-        neighbors=tuple(neighbors),
-    )
+    route = network.route(route_id)
+    order, arcs = index.order[route_id], index.arcs[route_id]
+    m, length = len(order), route.length
+    ego = np.asarray(egos, dtype=np.intp)
+    k = index.rank[route_id][ego]
+    ego_arc = world.arc[ego]
+    limit = horizon + float(world.length.max())
+    reach = ego_arc + limit
+    reach += 1e-9 * (np.abs(ego_arc) + length + abs(limit))
+    whole = m - 1 - k  # the rest of an open route
+    span = np.minimum(np.maximum(np.searchsorted(arcs, reach, side="right") - k - 1, 0), whole)
+    if route.cyclic:  # arcs lie in [0, length): the wrapped part starts at 0
+        span += np.minimum(np.searchsorted(arcs, reach - length, side="right"), k + 1)
+        whole = np.full(len(ego), m)
+    ids, kinds, speed = world.ids, world.kinds, world.speed.tolist()
+    extent = world.length[order]
+    if len(network.routes) > 1:  # vehicles on a shared edge from another route
+        for p, j in enumerate(order.tolist()):
+            if world.route_ids[j] != route_id:
+                extent[p] = net_mod.visible_extent(network, route, world.route_ids[j],
+                                                   float(world.arc[j]), float(world.length[j]))
+
+    def walk(rows, span):
+        """Each row's nearest forward gap, and its (leader or -1, headway, neighbors)."""
+        t = np.arange(1, max(int(span.max()), 1) + 1)
+        pos = k[rows, None] + t
+        pos = pos % m if route.cyclic else np.minimum(pos, m - 1)
+        j = order[pos]
+        me = ego[rows, None]
+        d = arcs[pos] - ego_arc[rows, None]
+        if route.cyclic:
+            d %= length
+            d[(d == 0.0) & (j == me)] = length  # chasing itself: one full lap
+        ahead = (t <= span[:, None]) & (d > 0.0)
+        lead_d = np.where(ahead, d, np.inf)
+        nearest = lead_d.min(axis=1)
+        tied = ahead & (lead_d == nearest[:, None])
+        col = np.where(tied, j, _NO_VEHICLE).argmin(axis=1)
+        r = np.arange(len(rows))
+        lead_j = np.where(np.isfinite(nearest), j[r, col], -1)
+        headway = nearest - extent[pos[r, col]]
+        gap = d - extent[pos]
+        rr, cc = np.nonzero(ahead & (j != me) & (gap > 0.0) & (gap <= horizon))
+        nj = j[rr, cc]
+        cuts = np.searchsorted(rr, np.arange(len(rows) + 1)).tolist()
+        rows_nb = [(ids[x], kinds[x], g, speed[x])
+                   for x, g in zip(nj.tolist(), gap[rr, cc].tolist())]
+        neighbors = [tuple(sorted(rows_nb[a:b], key=_BY_GAP_THEN_ID))
+                     for a, b in zip(cuts, cuts[1:])]
+        return nearest, list(zip(lead_j.tolist(), headway.tolist(), neighbors))
+
+    nearest, found = walk(np.arange(len(ego)), span)
+    far = np.flatnonzero(~(nearest <= limit) & (span < whole))
+    if far.size:
+        for r, again in zip(far.tolist(), walk(far, whole[far])[1]):
+            found[r] = again
+    tag, speed_limit = network.kind, network.speed_limit
+    intersections = len(network.conflict_points)
+    scenes = []
+    for i, arc, (lead_j, headway, neighbors) in zip(egos, ego_arc.tolist(), found):
+        if lead_j < 0:
+            leader_id, headway, leader_speed = None, math.inf, 0.0
+        else:
+            leader_id, leader_speed = ids[lead_j], speed[lead_j]
+        scenes.append(SceneDescription(
+            scenario_tag=tag, ego_id=ids[i], ego_speed=speed[i], headway=headway,
+            leader_id=leader_id, leader_speed=leader_speed, speed_limit=speed_limit,
+            route_length=length, cyclic=route.cyclic, intersections=intersections,
+            position_arc=arc, neighbors=neighbors))
+    return scenes
 
 
 _MAP_RE = re.compile(
@@ -189,6 +245,8 @@ _EGO_RE = re.compile(
     r"leader_speed=(?P<lspeed>[\d.]+) m/s")
 _NEIGHBOR_RE = re.compile(
     r"(\S+):(\w+) gap=([\d.]+) m speed=([\d.]+) m/s")
+_NEIGHBORS_TAG = "[NEIGHBORS]"
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # as str.splitlines
 
 
 def parse_scene_text(text: str) -> SceneDescription | None:
@@ -203,22 +261,29 @@ def parse_scene_text(text: str) -> SceneDescription | None:
     if not m_map or not m_ego:
         return None
     neighbors = []
-    for line in text.splitlines():
-        if line.startswith("[NEIGHBORS]"):
-            for vid, kind, gap, speed in _NEIGHBOR_RE.findall(line):
-                neighbors.append((vid, kind, float(gap), float(speed)))
-    leader = m_ego.group("leader")
+    # every line that starts with the tag, found without splitting the whole text
+    at = text.find(_NEIGHBORS_TAG)
+    while at >= 0:
+        nl = text.find("\n", at)
+        rest = text[at:nl if nl >= 0 else None].splitlines()[0]  # to the line's end
+        if at == 0 or text[at - 1] in _LINE_BREAKS:
+            neighbors += [(vid, kind, float(gap), float(speed))
+                          for vid, kind, gap, speed in _NEIGHBOR_RE.findall(rest)]
+        at = text.find(_NEIGHBORS_TAG, at + len(rest))
+    tag, route_length, shape, limit, nx = m_map.group("tag", "len", "shape", "limit", "nx")
+    ego_id, speed, headway, leader, leader_speed = m_ego.group(
+        "id", "speed", "headway", "leader", "lspeed")
     return SceneDescription(
-        scenario_tag=m_map.group("tag"),
-        ego_id=m_ego.group("id"),
-        ego_speed=float(m_ego.group("speed")),
-        headway=float(m_ego.group("headway")),
+        scenario_tag=tag,
+        ego_id=ego_id,
+        ego_speed=float(speed),
+        headway=float(headway),
         leader_id=None if leader == "none" else leader,
-        leader_speed=float(m_ego.group("lspeed")),
-        speed_limit=float(m_map.group("limit")),
-        route_length=float(m_map.group("len")),
-        cyclic=m_map.group("shape") == "(cyclic)",
-        intersections=int(m_map.group("nx")),
+        leader_speed=float(leader_speed),
+        speed_limit=float(limit),
+        route_length=float(route_length),
+        cyclic=shape == "(cyclic)",
+        intersections=int(nx),
         position_arc=0.0,
         neighbors=tuple(neighbors),
     )
@@ -310,18 +375,16 @@ class MessagePool:
     def __init__(self):
         self.messages: list[Message] = []
         self.assignments: list[RoleAssignment] = []
+        self._rendered = "(none yet)"
 
     def publish(self, message: Message) -> None:
+        line = f"{message.sender} (round {message.round}): {message.content}"
+        self._rendered = f"{self._rendered}\n{line}" if self.messages else line
         self.messages.append(message)
 
-    def latest(self, k: int) -> list[Message]:
-        return self.messages[-k:]
-
     def rendered(self) -> str:
-        if not self.messages:
-            return "(none yet)"
-        return "\n".join(f"{m.sender} (round {m.round}): {m.content}"
-                         for m in self.messages)
+        """The transcript so far, one line per message, kept up to date by publish."""
+        return self._rendered
 
 
 @dataclass(frozen=True)
@@ -346,13 +409,16 @@ class PlannerSpec:
     @staticmethod
     def clamped(v0: float, a_max: float, s0: float, speed_limit: float) -> "PlannerSpec":
         """Force arbitrary numbers into the legal planner box."""
-        def box(x, lo, hi):
-            if not math.isfinite(x):
-                return lo
-            return min(max(x, lo), hi)
-        return PlannerSpec(v0=box(v0, 0.1, speed_limit),
-                           a_max=box(a_max, 0.1, 3.0),
-                           s0=box(s0, 0.5, 10.0))
+        return PlannerSpec(v0=_box(v0, 0.1, speed_limit),
+                           a_max=_box(a_max, 0.1, 3.0),
+                           s0=_box(s0, 0.5, 10.0))
+
+
+def _box(x: float, lo: float, hi: float) -> float:
+    """``x`` clamped into [lo, hi]; the low end when it is not finite."""
+    if not math.isfinite(x):
+        return lo
+    return min(max(x, lo), hi)
 
 
 class ReasonBackend(Protocol):
@@ -442,10 +508,11 @@ def brainstorm(cav_ids, pool: MessagePool, backend: ReasonBackend,
     turn_tpl = _template("collab_turn.txt")
     sys_tpl = _template("collab_system.txt")
     expected = set(ids)
+    participants = ", ".join(ids)
     for rnd in range(max_rounds):
         for agent_id in ids:
             scene = scene_per_cav[agent_id]
-            system = sys_tpl.format(agent_id=agent_id, participants=", ".join(ids))
+            system = sys_tpl.format(agent_id=agent_id, participants=participants)
             user = turn_tpl.format(scene=scene.text,
                                    position=f"{scene.position_arc:.2f}",
                                    transcript=pool.rendered(), agent_id=agent_id)
@@ -475,6 +542,10 @@ def brainstorm(cav_ids, pool: MessagePool, backend: ReasonBackend,
 
 # -- scripted policy ---------------------------------------------------------
 
+# the human driver model a wave dampener judges congestion by, built once per limit
+_human_params = functools.lru_cache(maxsize=16, typed=True)(dyn.human_params)
+
+
 def scripted_backend_policy(role: str, scene: SceneDescription | None,
                             speed_limit: float | None = None) -> PlannerSpec:
     """Deterministic planner policy per role.
@@ -502,7 +573,7 @@ def scripted_backend_policy(role: str, scene: SceneDescription | None,
     free_a = DAMPENER_FREE_A_MAX.get(tag, DAMPENER_FREE_A_MAX_DEFAULT)
     if scene is None or scene.leader_id is None or not math.isfinite(scene.headway):
         return PlannerSpec.clamped(limit, free_a, 2.0, limit)
-    params = dyn.human_params(limit)
+    params = _human_params(limit)
     congested = (scene.leader_speed < scene.ego_speed - CONGESTION_SPEED_MARGIN
                  or scene.headway < dyn.desired_gap(params, scene.ego_speed, 0.0))
     if not congested:
@@ -533,7 +604,7 @@ class ScriptedBackend:
     _ROLE_RE = re.compile(r"Assigned role: (\w+)\.")
 
     def complete(self, turns, *, agent_id: str, stage: str) -> str:
-        text = "\n".join(t.content for t in turns)
+        text = "\n".join([t.content for t in turns])
         if stage == "collaboration":
             return self._collaboration_turn(text, agent_id)
         return self._reason_turn(text, agent_id)
@@ -577,36 +648,49 @@ class ScriptedBackend:
         else:
             note = (f"Leader {scene.leader_id} at {scene.headway:.2f} m doing "
                     f"{scene.leader_speed:.2f} m/s.")
-        doc = json.dumps({"v0": round(planner.v0, 4),
-                          "a_max": round(planner.a_max, 4),
-                          "s0": round(planner.s0, 4)})
+        # what json.dumps writes: a clamped planner holds finite numbers only
+        v0, a_max, s0 = round(planner.v0, 4), round(planner.a_max, 4), round(planner.s0, 4)
+        doc = f'{{"v0": {v0!r}, "a_max": {a_max!r}, "s0": {s0!r}}}'
         return f"Role {role}. {note}\n{doc}"
 
 
 # -- reasoning and execution --------------------------------------------------
 
+def render_experiences(experiences) -> str:
+    """Recalled experiences as the reasoning prompt lists them."""
+    return "\n".join(f"- {e.text}" for e in experiences) or "(none)"
+
+
+@functools.cache
+def _reason_system_turn() -> ChatTurn:
+    return ChatTurn("system", _template("reason_system.txt"))
+
+
 def reason(role: str, scene: SceneDescription | None, experiences,
            backend: ReasonBackend, *, speed_limit: float | None = None,
-           retries: int = 2, flags: RunFlags | None = None) -> PlannerSpec:
+           retries: int = 2, flags: RunFlags | None = None,
+           experience_text: str | None = None) -> PlannerSpec:
     """Run the four-stage reasoning chain and extract the planner triple.
 
     The staged prompt (role clarification, scene understanding, motion
     instruction, planner generation) goes out as one completion; the reply
     must contain a JSON planner object. After ``retries`` extra attempts
     the role's scripted default applies and the run is flagged.
+    ``experience_text``, when given, is ``render_experiences(experiences)``,
+    rendered once by a caller that reasons for many vehicles.
     """
     flags = flags if flags is not None else RunFlags()
     limit = speed_limit if speed_limit is not None else (
         scene.speed_limit if scene is not None else 30.0)
     agent_id = scene.ego_id if scene is not None else "ego"
-    exp_text = "\n".join(f"- {e.text}" for e in experiences) or "(none)"
+    if experience_text is None:
+        experience_text = render_experiences(experiences)
     user = _template("reason_user.txt").format(
         agent_id=agent_id, role=role,
         rationale="Act accordingly.",
         scene=scene.text if scene is not None else "(scene unavailable)",
-        experiences=exp_text)
-    turns = [ChatTurn("system", _template("reason_system.txt")),
-             ChatTurn("user", user)]
+        experiences=experience_text)
+    turns = [_reason_system_turn(), ChatTurn("user", user)]
     for _ in range(retries + 1):
         try:
             reply = backend.complete(turns, agent_id=agent_id, stage="reason")
@@ -623,10 +707,14 @@ def reason(role: str, scene: SceneDescription | None, experiences,
     return scripted_backend_policy(role, scene, speed_limit=limit)
 
 
+# parameters are frozen, and most replans install one of a handful of planners
+_idm_params = functools.lru_cache(maxsize=256, typed=True)(dyn.IdmParams)
+
+
 def execute(planner: PlannerSpec,
             fixed: tuple[float, float, float] = (dyn.FIXED_T, dyn.FIXED_B,
                                                  dyn.FIXED_DELTA)) -> dyn.IdmParams:
     """Merge the planner triple with the fixed car-following constants."""
     T, b, delta = fixed
-    return dyn.IdmParams(v0=planner.v0, T=T, a_max=planner.a_max, b=b,
-                         delta=delta, s0=planner.s0)
+    return _idm_params(v0=planner.v0, T=T, a_max=planner.a_max, b=b,
+                       delta=delta, s0=planner.s0)

@@ -90,8 +90,9 @@ def _resolve_config(name, config_path, seed, no_collab, no_memory, no_perception
 @click.option("--model", default="gpt-4o-mini", show_default=True)
 @click.option("--api-key-env", default="COMAL_API_KEY", show_default=True)
 @click.option("--temperature", type=float, default=0.0, show_default=True)
-@click.option("--timeout", type=float, default=30.0, show_default=True)
-@click.option("--retries", type=int, default=3, show_default=True)
+@click.option("--timeout", type=click.FloatRange(min=0, min_open=True), default=30.0,
+              show_default=True)
+@click.option("--retries", type=click.IntRange(min=0), default=3, show_default=True)
 def run_cmd(scenario_name, backend_name, seed, out_dir, config_path, no_collab,
             no_memory, no_perception, transcript_path, endpoint, model,
             api_key_env, temperature, timeout, retries):
@@ -151,7 +152,7 @@ def run_cmd(scenario_name, backend_name, seed, out_dir, config_path, no_collab,
               help="template for a penetration sweep")
 @click.option("--backend", "backend_name",
               type=click.Choice(["scripted"]), default="scripted", show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="write the aggregated table as CSV")
 def sweep_cmd(scenarios, seeds, penetrations, template_name, backend_name,

@@ -160,8 +160,9 @@ class AgentPipeline:
         self.pool = MessagePool()
         self.planner_log: list[dict] = []
 
-    def _scene(self, world, vid: str, index):
-        return agent_mod.perceive(world, vid, self.cfg.perception_horizon_m, index)
+    def _scenes(self, world, cavs: list[str]) -> list:
+        return agent_mod.perceive_all(world, cavs, self.cfg.perception_horizon_m,
+                                      world.route_index())
 
     def collaborate(self, world) -> None:
         cavs = sorted(world.cav_ids())
@@ -171,24 +172,27 @@ class AgentPipeline:
             # ablated: every agent adopts the same solo role
             self.roles.update({vid: DEFAULT_ROLE for vid in cavs})
             return
-        index = world.route_index()
-        scenes = {vid: self._scene(world, vid, index) for vid in cavs}
+        scenes = dict(zip(cavs, self._scenes(world, cavs)))
         assignments = agent_mod.brainstorm(
             cavs, self.pool, self.backend, scenes,
             max_rounds=self.cfg.collab_max_rounds, flags=self.flags)
         self.roles.update({a.vehicle_id: a.role for a in assignments})
 
     def replan(self, world, time: float) -> None:
-        # planner updates leave positions alone: one index serves every CAV
-        index = world.route_index() if self.cfg.perception else None
-        for vid in sorted(world.cav_ids()):
+        cavs = sorted(world.cav_ids())
+        # planner updates leave positions alone: one pass perceives every CAV
+        scenes = self._scenes(world, cavs) if self.cfg.perception else [None] * len(cavs)
+        recalled: dict[str, tuple[list, str]] = {}  # role -> experiences, their text
+        for vid, scene in zip(cavs, scenes):
             role = self.roles.setdefault(vid, DEFAULT_ROLE)
-            scene = self._scene(world, vid, index) if self.cfg.perception else None
-            experiences = (agent_mod.recall(self.memory, self.cfg.topology, role)
-                           if self.cfg.memory else [])
+            if role not in recalled:
+                experiences = (agent_mod.recall(self.memory, self.cfg.topology, role)
+                               if self.cfg.memory else [])
+                recalled[role] = experiences, agent_mod.render_experiences(experiences)
+            experiences, exp_text = recalled[role]
             planner = agent_mod.reason(role, scene, experiences, self.backend,
                                        speed_limit=self.cfg.speed_limit,
-                                       flags=self.flags)
+                                       flags=self.flags, experience_text=exp_text)
             world.set_params(vid, agent_mod.execute(planner))
             self.planner_log.append({
                 "time": time, "agent_id": vid, "role": role,
@@ -358,11 +362,14 @@ class SweepTable:
     rows: list  # dicts: label, n_ok, avg_mean, avg_se, std_mean, std_se, errors
 
     def to_csv(self) -> str:
+        """The table as CSV with ``\\n`` line ends; a field holding a comma, a
+        quote or a line break is quoted, so it reads back as one field."""
         cols = ["label", "n_ok", "avg_mean", "avg_se", "std_mean", "std_se", "errors"]
-        lines = [",".join(cols)]
-        for r in self.rows:
-            lines.append(",".join(str(r[c]) for c in cols))
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([r[c] for c in cols] for r in self.rows)
+        return buf.getvalue()
 
     def format_table(self) -> str:
         header = f"{'cell':<18} {'runs':>4} {'avg speed':>16} {'speed std':>16}"

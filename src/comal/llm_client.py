@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -107,11 +108,15 @@ def complete(config: BackendConfig, turns: list[ChatTurn], *,
         f"retries exhausted after {config.max_retries + 1} attempts ({last_error})")
 
 
+_BRACE_RE = re.compile(r"[{}]")
+
+
 def _json_candidates(text: str):
     """Balanced top-level ``{...}`` spans, in order of appearance."""
     depth = 0
     start = -1
-    for i, ch in enumerate(text):
+    for brace in _BRACE_RE.finditer(text):
+        i, ch = brace.start(), brace.group()
         if ch == "{":
             if depth == 0:
                 start = i

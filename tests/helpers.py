@@ -6,6 +6,7 @@ import numpy as np
 
 from comal import dynamics as dyn
 from comal import network as net
+from comal.agent import _EGO_RE, _MAP_RE, _NEIGHBOR_RE, SceneDescription
 
 
 def uniform_ring_world(n=22, length=230.0, speed_limit=30.0, noise_std=0.0,
@@ -64,3 +65,44 @@ def reference_trajectories_csv(samples) -> bytes:
     for s in samples:
         writer.writerow([repr(s.time), s.vehicle_id, repr(s.position), repr(s.speed)])
     return buf.getvalue().encode("utf-8")
+
+
+def reference_parse_scene_text(text):
+    """``agent.parse_scene_text`` as it read the neighbors: one line at a time.
+
+    Splits the whole text with ``str.splitlines`` and reads every line that
+    starts with ``[NEIGHBORS]``; the parser must agree with it on every str.
+    """
+    m_map = _MAP_RE.search(text)
+    m_ego = _EGO_RE.search(text)
+    if not m_map or not m_ego:
+        return None
+    neighbors = []
+    for line in text.splitlines():
+        if line.startswith("[NEIGHBORS]"):
+            for vid, kind, gap, speed in _NEIGHBOR_RE.findall(line):
+                neighbors.append((vid, kind, float(gap), float(speed)))
+    leader = m_ego.group("leader")
+    return SceneDescription(
+        scenario_tag=m_map.group("tag"), ego_id=m_ego.group("id"),
+        ego_speed=float(m_ego.group("speed")), headway=float(m_ego.group("headway")),
+        leader_id=None if leader == "none" else leader,
+        leader_speed=float(m_ego.group("lspeed")),
+        speed_limit=float(m_map.group("limit")), route_length=float(m_map.group("len")),
+        cyclic=m_map.group("shape") == "(cyclic)", intersections=int(m_map.group("nx")),
+        position_arc=0.0, neighbors=tuple(neighbors))
+
+
+def reference_json_candidates(text):
+    """Balanced top-level ``{...}`` spans, found one character at a time."""
+    depth = 0
+    start = -1
+    for i, ch in enumerate(text):
+        if ch == "{":
+            if depth == 0:
+                start = i
+            depth += 1
+        elif ch == "}" and depth > 0:
+            depth -= 1
+            if depth == 0:
+                yield text[start:i + 1]

@@ -13,11 +13,11 @@ from comal import network as net
 from comal.agent import (Experience, MemoryStore, Message, MessagePool,
                          PlannerSpec, RoleAssignment, RunFlags, SceneDescription,
                          ScriptedBackend, brainstorm, execute, fallback_roles,
-                         parse_role_block, perceive, reason, recall,
-                         scripted_backend_policy)
+                         parse_role_block, parse_scene_text, perceive, perceive_all,
+                         reason, recall, scripted_backend_policy)
 from comal.llm_client import ChatTurn
 
-from helpers import uniform_ring_world
+from helpers import reference_parse_scene_text, uniform_ring_world
 
 
 def make_scene(**kw):
@@ -89,6 +89,12 @@ class TestPerceive:
         scene = perceive(w, "hw_000", horizon=100.0)
         assert "headway=inf m; leader=none; leader_speed=0.00 m/s" in scene.ego_text
         assert "open" in scene.map_text and "intersections=1" in scene.map_text
+
+    def test_text_is_rendered_once(self):
+        scene = perceive(self.build_two_vehicle_ring(), "cav_00", horizon=200.0)
+        assert scene.text is scene.text
+        assert scene.text == "\n".join((scene.map_text, scene.ego_text,
+                                        scene.neighbors_text))
 
     def test_parse_round_trip(self):
         w = self.build_two_vehicle_ring()
@@ -244,6 +250,84 @@ class TestIndexedPerception:
         for vid in w.ids:
             assert perceive(w, vid, 80.0) == perceive(w, vid, 80.0, w.route_index())
 
+    @settings(max_examples=150, deadline=None)
+    @given(perception_worlds(), st.lists(st.floats(0.0, 700.0), min_size=1, max_size=2))
+    def test_one_pass_for_every_vehicle_matches_brute_force_scan(self, w, horizons):
+        index = w.route_index()
+        # every neighbor gap of the first vehicle once more: the boundary is inclusive
+        edge = [n[2] for n in reference_scene(w, w.ids[0], math.inf).neighbors]
+        for h in [*horizons, *edge]:
+            assert perceive_all(w, w.ids, h, index) == [reference_scene(w, vid, h)
+                                                        for vid in w.ids]
+
+    def test_one_pass_keeps_the_requested_order(self):
+        w = uniform_ring_world(n=9, cav_indices=(0, 4))
+        ids = [w.ids[5], w.ids[1], w.ids[5]]
+        assert perceive_all(w, ids, 80.0) == [perceive(w, vid, 80.0) for vid in ids]
+        assert perceive_all(w, [], 80.0) == []
+        with pytest.raises(KeyError):
+            perceive_all(w, [w.ids[0], "ghost"], 80.0)
+
+    def test_far_leader_beyond_the_window_is_found(self):
+        # sparse ring: the leader sits far past horizon + length
+        w = uniform_ring_world(n=3, length=900.0)
+        scene = perceive_all(w, [w.ids[0]], 10.0)[0]
+        assert scene.leader_id == w.ids[1] and scene.neighbors == ()
+        assert scene == reference_scene(w, w.ids[0], 10.0)
+
+
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+SCENE_PIECES = [
+    "[MAP] scenario=ring; route_length=230.00 m (cyclic); speed_limit=30.00 m/s; "
+    "intersections=0",
+    "[EGO] id=cav_00; speed=5.00 m/s; headway=110.00 m; leader=human_01; "
+    "leader_speed=5.00 m/s",
+    "[NEIGHBORS]", "[NEIGHBORS] ", "[NEIGHBORS] none", "none",
+    "human_01:human gap=110.00 m speed=5.00 m/s", "cav_02:cav gap=3.5 m speed=0.25 m/s",
+    "a:b:c gap=1 m speed=2 m/s", "x:y gap=1.2.3 m speed=4 m/s", "m/s", "; ", " ", ":",
+]
+SCENE_TEXTS = st.lists(
+    st.one_of(st.sampled_from(SCENE_PIECES + LINE_BREAKS), st.text(max_size=6)),
+    max_size=24).map("".join)
+
+
+def outcome(fn, text):
+    try:
+        return "ok", fn(text)
+    except Exception as exc:  # both parsers must fail alike, too
+        return "raised", type(exc)
+
+
+class TestParseSceneText:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(SCENE_TEXTS, st.text(max_size=60)))
+    def test_matches_the_line_by_line_parser(self, text):
+        assert outcome(parse_scene_text, text) == outcome(reference_parse_scene_text, text)
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS)
+    def test_every_line_boundary(self, brk):
+        head = SCENE_PIECES[0] + brk + SCENE_PIECES[1] + brk
+        for text in (head + "[NEIGHBORS] human_01:human gap=1.00 m speed=2.00 m/s",
+                     head + "x [NEIGHBORS] human_01:human gap=1.00 m speed=2.00 m/s",
+                     head + "[NEIGHBORS] a:b gap=1 m speed=2 m/s" + brk
+                     + "[NEIGHBORS] c:d gap=3 m speed=4 m/s" + brk + "e:f gap=5 m speed=6 m/s"):
+            assert parse_scene_text(text) == reference_parse_scene_text(text)
+
+    def test_several_lines_and_a_tag_mid_line(self):
+        text = "\n".join(SCENE_PIECES[:2] + [
+            "[NEIGHBORS] a:human gap=1.00 m speed=2.00 m/s",
+            "see [NEIGHBORS] b:human gap=3.00 m speed=4.00 m/s",
+            "[NEIGHBORS] c:cav gap=5.00 m speed=6.00 m/s; [NEIGHBORS] d:cav gap=7.00 m "
+            "speed=8.00 m/s"])
+        got = parse_scene_text(text)
+        assert [n[0] for n in got.neighbors] == ["a", "c", "d"]
+        assert got == reference_parse_scene_text(text)
+
+    def test_no_scene(self):
+        assert parse_scene_text("[NEIGHBORS] a:b gap=1 m speed=2 m/s") is None
+        assert parse_scene_text("") is None
+
 
 class TestTemplates:
     def test_read_once_per_process(self, monkeypatch):
@@ -335,6 +419,17 @@ class _CrashingBackend:
 
     def complete(self, turns, *, agent_id, stage):
         raise RuntimeError("backend exploded")
+
+
+class TestMessagePool:
+    def test_rendered_follows_every_publish(self):
+        pool = MessagePool()
+        assert pool.rendered() == "(none yet)"
+        for k, content in enumerate(["hello", "status id=a position=1.00 speed=2.00",
+                                     "two\nlines", "[ROLES FINAL]"]):
+            pool.publish(Message(f"cav_{k:02d}", k // 2, content))
+            assert pool.rendered() == "\n".join(
+                f"{m.sender} (round {m.round}): {m.content}" for m in pool.messages)
 
 
 class TestBrainstorm:

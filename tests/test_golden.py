@@ -1,4 +1,4 @@
-"""Byte-identity gate: every catalog scenario's exports and scenes at seed 0.
+"""Byte-identity gate: every catalog scenario's exports, scenes and prompts at seed 0.
 
 The digests in ``golden_digests.json`` are sha256 sums of the
 ``metrics.json`` and ``trajectories.csv`` that ``harness.export`` writes for
@@ -7,6 +7,10 @@ sha256 over every scene the run perceives, in call order: its rendered text
 and the ego's route arc. The scripted policy reads few of a scene's fields,
 most of them only for wave dampeners in congestion, so the exports alone
 would not notice a scene that lists a wrong neighbor or misorders them.
+``transcript`` is one sha256 over every backend call, in call order: the
+agent id, the stage, each request turn's role and content, and the reply,
+as a recording backend logs them minus the timestamp and latency. It pins
+the prompts and replies that the exports only see through the planner.
 A refactor that moves any bit of these fails here; a change that means to
 move them must regenerate the digests and say why.
 """
@@ -19,34 +23,51 @@ import pytest
 from comal import agent, harness
 from comal import scenario as sc
 from comal.agent import ScriptedBackend
+from comal.llm_client import RecordingBackend
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_digests.json")
                     .read_text(encoding="utf-8"))
 SCENES = "scenes"
+TRANSCRIPT = "transcript"
+
+
+class _DigestLog:
+    """A transcript log that hashes each record instead of writing it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def append(self, record: dict) -> None:
+        kept = {k: record[k] for k in ("agent_id", "stage", "request", "response")}
+        self.digest.update((json.dumps(kept, sort_keys=True) + "\n").encode())
 
 
 def catalog_digests(name, out_dir, monkeypatch) -> dict:
-    """Run one catalog scenario at seed 0; digest its exports and scenes."""
+    """Run one catalog scenario at seed 0; digest its exports, scenes and calls."""
     scenes = hashlib.sha256()
-    perceive = agent.perceive
+    perceive_all = agent.perceive_all
 
     def digesting(*args, **kwargs):
-        scene = perceive(*args, **kwargs)
-        scenes.update((scene.text + "\n" + repr(scene.position_arc) + "\n").encode())
-        return scene
+        found = perceive_all(*args, **kwargs)
+        for scene in found:
+            scenes.update((scene.text + "\n" + repr(scene.position_arc) + "\n").encode())
+        return found
 
-    monkeypatch.setattr(agent, "perceive", digesting)
-    result = harness.run(sc.find(name).replace(seed=0), ScriptedBackend())
+    monkeypatch.setattr(agent, "perceive_all", digesting)
+    log = _DigestLog()
+    backend = RecordingBackend(ScriptedBackend(), log, run_id="golden")
+    result = harness.run(sc.find(name).replace(seed=0), backend)
     paths = harness.export(result, out_dir)
     got = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
            for p in paths.values()}
     got[SCENES] = scenes.hexdigest()
+    got[TRANSCRIPT] = log.digest.hexdigest()
     return got
 
 
 def test_golden_covers_the_catalog():
     assert sorted(GOLDEN) == sorted(cfg.name for cfg in sc.catalog())
-    assert all(set(d) == {"metrics.json", "trajectories.csv", SCENES}
+    assert all(set(d) == {"metrics.json", "trajectories.csv", SCENES, TRANSCRIPT}
                for d in GOLDEN.values())
 
 

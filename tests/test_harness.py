@@ -1,4 +1,6 @@
 """Run loop, metrics, export, and sweep behavior."""
+import csv
+import io
 import json
 import math
 import os
@@ -284,6 +286,24 @@ class TestSweep:
         assert table.to_csv().startswith("label,n_ok,avg_mean")
         assert "mini" in table.format_table()
 
+    def test_csv_round_trips_awkward_labels_and_errors(self):
+        label = 'pen=0.1, "quoted"\nsecond line'
+        error = ("seed 0: LlmTransportError: replay mismatch: recorded (cav_00, reason), "
+                 "requested (cav_01, reason)")
+        table = harness.SweepTable([{"label": label, "n_ok": 0, "avg_mean": math.nan,
+                                     "avg_se": math.nan, "std_mean": math.nan,
+                                     "std_se": math.nan, "errors": error}])
+        rows = list(csv.reader(io.StringIO(table.to_csv(), newline="")))
+        assert rows == [["label", "n_ok", "avg_mean", "avg_se", "std_mean", "std_se",
+                         "errors"], [label, "0", "nan", "nan", "nan", "nan", error]]
+
+    def test_clean_csv_keeps_its_bytes(self):
+        table = harness.SweepTable([{"label": "pen=0.100", "n_ok": 2, "avg_mean": 4.25,
+                                     "avg_se": 0.125, "std_mean": 1.5, "std_se": 0.0,
+                                     "errors": ""}])
+        assert table.to_csv() == ("label,n_ok,avg_mean,avg_se,std_mean,std_se,errors\n"
+                                  "pen=0.100,2,4.25,0.125,1.5,0.0,\n")
+
     def test_duplicate_labels_rejected_before_any_run(self, monkeypatch):
         monkeypatch.setattr(harness, "_run_cell", lambda job: pytest.fail("ran"))
         cells = [SweepCell("x", sc.find("Ring 0")), SweepCell("x", sc.find("Ring 2"))]
@@ -384,6 +404,21 @@ class TestCli:
         out = CliRunner().invoke(main, ["sweep", "--scenarios", "Ring 0", option, value])
         assert out.exit_code == 2, out.output
         assert f"Invalid value for '{option}'" in out.output
+
+
+    @pytest.mark.parametrize("args", [
+        ["run", "--scenario", "Ring 0", "--retries", "-1"],
+        ["run", "--scenario", "Ring 0", "--timeout", "0"],
+        ["sweep", "--scenarios", "Ring 0", "--workers", "0"],
+    ], ids=["retries", "timeout", "workers"])
+    def test_bad_numbers_are_usage_errors(self, args, tmp_path, monkeypatch):
+        from click.testing import CliRunner
+        from comal.cli import main
+        monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("ran"))
+        out_args = ["--out", str(tmp_path / ("r" if args[0] == "run" else "s.csv"))]
+        out = CliRunner().invoke(main, args + out_args)
+        assert out.exit_code == 2, out.output
+        assert f"Invalid value for '{args[-2]}'" in out.output
 
 
 def write_mini_override(tmp_path):

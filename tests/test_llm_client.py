@@ -6,6 +6,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comal import llm_client as llm
 from comal.agent import ScriptedBackend
@@ -13,6 +15,8 @@ from comal.llm_client import (BackendConfig, ChatTurn, LlmConfigError,
                               LlmTransportError, PlannerParseError,
                               RecordingBackend, ReplayBackend, TranscriptLog,
                               extract_planner_json)
+
+from helpers import reference_json_candidates
 
 TURNS = [ChatTurn("system", "be brief"), ChatTurn("user", "hello")]
 
@@ -204,6 +208,21 @@ class TestExtractPlannerJson:
                 assert set(out) == {"v0", "a_max", "s0"}
             except PlannerParseError:
                 pass
+
+
+# brace-heavy text: nested, unbalanced and stray closing braces among JSON bits
+BRACEY_TEXT = st.text(alphabet='{}{}{}"v0:1, a_max\n', max_size=60)
+
+
+class TestJsonCandidates:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=80), BRACEY_TEXT))
+    def test_matches_the_per_character_scan(self, text):
+        assert list(llm._json_candidates(text)) == list(reference_json_candidates(text))
+
+    def test_nested_and_unbalanced(self):
+        text = 'x}{"a": {"b": 1}} y {"c": 2} {"open": {'
+        assert list(llm._json_candidates(text)) == ['{"a": {"b": 1}}', '{"c": 2}']
 
 
 class TestTranscriptAndReplay:
