@@ -16,7 +16,9 @@ state, a uniform ring with zero noise stays uniform bit-exactly.
 
 All per-vehicle route geometry of a step (leader links, first-come-first-
 served gating at conflict points, the spawn slot at an entry) is read from
-one ``World.route_index()``: the vehicles on each route sorted by arc.
+one ``World.route_index()``: the vehicles on each route sorted by arc. All
+per-vehicle state is one table, ``_COLUMNS`` and ``_LISTS``: an add writes
+every column, a removal compacts them all, and storage grows by doubling.
 """
 from __future__ import annotations
 
@@ -41,6 +43,23 @@ DEFAULT_NOISE_STD = 0.2  # m/s^2, human acceleration noise
 DEFAULT_VEHICLE_LENGTH = 5.0  # m
 
 _NOISE_BLOCK = 64  # standard-normal draws taken from a vehicle's stream at once
+_PARAM_KEYS = ("v0", "T", "a_max", "b", "delta", "s0")
+# Every per-vehicle numpy column of a World: name -> (dtype, trailing shape).
+# ``World._p`` holds the IDM parameter columns; the rest are its attributes.
+_COLUMNS: dict[str, tuple[type, tuple[int, ...]]] = {
+    "arc": (np.float64, ()),  # m along the vehicle's own route
+    "speed": (np.float64, ()),
+    "length": (np.float64, ()),
+    "_route_len": (np.float64, ()),
+    "_cyclic": (np.bool_, ()),
+    "lead_idx": (np.intp, ()),  # the leader's row, -1 for none
+    "gap": (np.float64, ()),  # bumper gap to the leader, inf for none
+    "_noise_std": (np.float64, ()),
+    "_noise_block": (np.float64, (_NOISE_BLOCK,)),  # draws from the vehicle's stream
+    "_noise_pos": (np.intp, ()),  # next draw, _NOISE_BLOCK once used up; 0 if noise-free
+    **dict.fromkeys(_PARAM_KEYS, (np.float64, ())),
+}
+_LISTS = ("ids", "route_ids", "kinds", "noise")  # per-vehicle Python objects
 
 
 @dataclass(frozen=True)
@@ -55,7 +74,7 @@ class IdmParams:
     s0: float  # minimum spacing, m
 
     def __post_init__(self):
-        for name in ("v0", "T", "a_max", "b", "delta", "s0"):
+        for name in _PARAM_KEYS:
             if getattr(self, name) <= 0:
                 raise ValueError(f"IdmParams.{name} must be > 0, got {getattr(self, name)}")
         if self.delta < 1:
@@ -242,9 +261,11 @@ class RouteIndex:
 
 
 class World:
-    """Mutable simulation state: vehicle arrays, links, gating, inflows.
+    """Mutable simulation state: vehicle table, links, gating, inflows.
 
-    Vehicles live in parallel arrays for the kernels. Each step reads its
+    Vehicles are rows: the ``_LISTS`` are lists, the ``_COLUMNS`` views of
+    the first ``size`` rows of storage with spare capacity, rebound after an
+    add or a removal and written in place by ``step``. Each step reads its
     per-vehicle route geometry (leader links, conflict-point gating, the
     spawn slot) from one ``route_index()``. A single thread owns the world;
     determinism given (construction, seed) is the contract.
@@ -260,20 +281,10 @@ class World:
         self.ids: list[str] = []
         self.route_ids: list[str] = []
         self.kinds: list[str] = []
-        self.arc = np.empty(0)
-        self.speed = np.empty(0)
-        self.length = np.empty(0)
-        self._route_len = np.empty(0)
-        self._cyclic = np.empty(0, dtype=bool)
-        self._p = {k: np.empty(0) for k in ("v0", "T", "a_max", "b", "delta", "s0")}
         self.noise: list[NoiseModel] = []
-        self._noise_std = np.empty(0)
-        # per vehicle: a block of its stream's draws and the index of the next
-        # one (_NOISE_BLOCK once used up); noise-free rows stay 0 at index 0
-        self._noise_block = np.empty((0, _NOISE_BLOCK))
-        self._noise_pos = np.empty(0, dtype=np.intp)
-        self.lead_idx = np.empty(0, dtype=np.intp)
-        self.gap = np.empty(0)
+        self._store = {name: np.empty((0, *shape), dtype)
+                       for name, (dtype, shape) in _COLUMNS.items()}
+        self._bind()
         self._index: dict[str, int] = {}
         self._seedseq = np.random.SeedSequence(seed)
         self.reservations = {cp.id: _Reservation() for cp in network.conflict_points}
@@ -298,24 +309,27 @@ class World:
         if state.id in self._index:
             raise ValueError(f"duplicate vehicle id {state.id!r}")
         route = self.network.route(state.route_id)
-        arc = route.arc_of(state.position)
-        self._index[state.id] = self.size
+        row = dict(arc=route.arc_of(state.position), speed=state.speed, length=state.length,
+                   _route_len=route.length, _cyclic=route.cyclic, lead_idx=-1, gap=np.inf,
+                   _noise_std=noise_std, _noise_block=0.0,
+                   _noise_pos=_NOISE_BLOCK if noise_std > 0 else 0, **vars(state.active_params))
+        i = self.size
+        for name, col in self._store.items():  # a column the row lacks is a KeyError
+            if i == len(col):  # full: double the storage
+                col = self._store[name] = np.resize(col, (max(2 * i, 16), *col.shape[1:]))
+            col[i] = row[name]
+        self._index[state.id] = i
         self.ids.append(state.id)
         self.route_ids.append(state.route_id)
         self.kinds.append(state.kind)
-        self.arc = np.append(self.arc, arc)
-        self.speed = np.append(self.speed, state.speed)
-        self.length = np.append(self.length, state.length)
-        self._route_len = np.append(self._route_len, route.length)
-        self._cyclic = np.append(self._cyclic, route.cyclic)
-        for key in self._p:
-            self._p[key] = np.append(self._p[key], getattr(state.active_params, key))
         self.noise.append(NoiseModel(noise_std, self._seedseq.spawn(1)[0]))
-        self._noise_std = np.append(self._noise_std, noise_std)
-        self._noise_block = np.append(self._noise_block, np.zeros((1, _NOISE_BLOCK)), axis=0)
-        self._noise_pos = np.append(self._noise_pos, _NOISE_BLOCK if noise_std > 0 else 0)
-        self.lead_idx = np.append(self.lead_idx, -1)
-        self.gap = np.append(self.gap, np.inf)
+        self._bind()
+
+    def _bind(self) -> None:
+        """Rebind every column attribute as a view of its first ``size`` rows."""
+        views = {name: col[:self.size] for name, col in self._store.items()}
+        self._p = {k: views.pop(k) for k in _PARAM_KEYS}
+        vars(self).update(views)
 
     def add_inflow(self, route_id: str, rate_vph: float, cav_fraction: float = 0.0,
                    id_prefix: str = "veh") -> None:
@@ -349,10 +363,12 @@ class World:
         """Install leader links and authoritative bumper gaps directly.
 
         Scenario setup uses this to start uniform closed-network flows with
-        bit-identical gaps for every vehicle.
+        bit-identical gaps for every vehicle. Each needs one entry per vehicle.
         """
-        self.lead_idx = np.asarray(lead_idx, dtype=np.intp).copy()
-        self.gap = np.asarray(gap, dtype=np.float64).copy()
+        if np.shape(lead_idx) != (self.size,) or np.shape(gap) != (self.size,):
+            raise ValueError(f"set_links needs {self.size} leader indices and gaps")
+        self.lead_idx[:] = lead_idx
+        self.gap[:] = gap
 
     def route_index(self) -> RouteIndex:
         """Sort the vehicles present on each route by their arc along it."""
@@ -379,12 +395,10 @@ class World:
         ``index`` is the world's current ``route_index()``; without one the
         method builds its own.
         """
-        n = self.size
-        lead = np.full(n, -1, dtype=np.intp)
-        gap = np.full(n, np.inf)
-        if index is None:
-            index = self.route_index()
-        for i in range(n):
+        self.lead_idx[:] = -1
+        self.gap[:] = np.inf
+        index = index or self.route_index()
+        for i in range(self.size):
             rid = self.route_ids[i]
             route = self.network.route(rid)
             idxs, arcs = index.order[rid], index.arcs[rid]
@@ -394,17 +408,15 @@ class World:
                 continue  # front of an open route: nothing ahead
             j = int(idxs[k_lead])
             if j == i:  # alone on the loop: it chases itself
-                lead[i] = i
-                gap[i] = route.length - float(self.length[i])
+                self.lead_idx[i] = i
+                self.gap[i] = route.length - float(self.length[i])
                 continue
             d = float(arcs[k_lead]) - float(arcs[k])
             if route.cyclic:
                 d %= route.length
-            lead[i] = j
-            gap[i] = d - net_mod.visible_extent(self.network, route, self.route_ids[j],
-                                                float(self.arc[j]), float(self.length[j]))
-        self.lead_idx = lead
-        self.gap = gap
+            self.lead_idx[i] = j
+            self.gap[i] = d - net_mod.visible_extent(self.network, route, self.route_ids[j],
+                                                     float(self.arc[j]), float(self.length[j]))
 
     # -- conflict-point gating ----------------------------------------------
 
@@ -535,25 +547,16 @@ class World:
             return
         keep = ~done
         self.removed_count += int(done.sum())
-        self.ids = [v for v, k in zip(self.ids, keep) if k]
-        self.route_ids = [v for v, k in zip(self.route_ids, keep) if k]
-        self.kinds = [v for v, k in zip(self.kinds, keep) if k]
-        self.noise = [v for v, k in zip(self.noise, keep) if k]
-        self._noise_std = self._noise_std[keep]
-        self._noise_block = self._noise_block[keep]
-        self._noise_pos = self._noise_pos[keep]
-        self.arc = self.arc[keep]
-        self.speed = self.speed[keep]
-        self.length = self.length[keep]
-        self._route_len = self._route_len[keep]
-        self._cyclic = self._cyclic[keep]
-        for key in self._p:
-            self._p[key] = self._p[key][keep]
+        n = int(keep.sum())
+        for col in self._store.values():
+            col[:n] = col[:keep.size][keep]
+        for name in _LISTS:
+            setattr(self, name, [v for v, k in zip(getattr(self, name), keep) if k])
+        self._bind()
         # renumber links; a vehicle whose leader left is now a route's front
-        lead = self.lead_idx[keep]
-        linked = (lead >= 0) & keep[lead]
-        self.lead_idx = np.where(linked, np.cumsum(keep)[lead] - 1, -1)
-        self.gap = np.where(linked, self.gap[keep], np.inf)
+        linked = (self.lead_idx >= 0) & keep[self.lead_idx]
+        self.lead_idx[:] = np.where(linked, np.cumsum(keep)[self.lead_idx] - 1, -1)
+        self.gap[~linked] = np.inf
         self._index = {vid: i for i, vid in enumerate(self.ids)}
 
     def _check_gaps(self) -> None:
@@ -599,15 +602,12 @@ def step(world: World, dt: float) -> None:
     world._check_gaps()
 
     dv = v - lead_speed
-    p = world._p
-    acc = kernels.idm_acceleration(v, dv, gap, p["v0"], p["T"], p["a_max"],
-                                   p["b"], p["delta"], p["s0"])
+    acc = kernels.idm_acceleration(v, dv, gap, **world._p)
     cap = kernels.safe_speed(gap, lead_speed, dt, world.b_max)
 
     vgap = world._virtual_gaps(dist)
     if vgap is not None:
-        acc_v = kernels.idm_acceleration(v, v, vgap, p["v0"], p["T"],
-                                         p["a_max"], p["b"], p["delta"], p["s0"])
+        acc_v = kernels.idm_acceleration(v, v, vgap, **world._p)
         acc = np.minimum(acc, acc_v)
         cap = np.minimum(cap, kernels.safe_speed(vgap, np.zeros(n), dt, world.b_max))
 
@@ -618,11 +618,11 @@ def step(world: World, dt: float) -> None:
     v_new = np.maximum(0.0, v + acc * dt)
     v_new = np.minimum(v_new, np.maximum(cap, 0.0))
 
-    world.arc = world.arc + v_new * dt
+    world.arc += v_new * dt
     over = world._cyclic & (world.arc >= world._route_len)
     if over.any():
         world.arc[over] -= world._route_len[over]
-    world.speed = v_new
-    world.gap = world.gap + np.where(has_lead, v_new[lead] - v_new, 0.0) * dt
+    world.speed[:] = v_new
+    world.gap += np.where(has_lead, v_new[lead] - v_new, 0.0) * dt
     world._check_gaps()
     world._remove_finished()

@@ -1,5 +1,6 @@
 """IDM math, equilibrium, failsafe, noise, and the integrator."""
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -480,21 +481,96 @@ class TestBlockNoise:
         step_checking_noise(w, [0.1, 0.05, 0.2] * 50)
 
 
+def table(w) -> dict:
+    """Every per-vehicle column and list of ``w`` by its schema name."""
+    return {name: w._p[name] if name in w._p else getattr(w, name)
+            for name in [*dyn._COLUMNS, *dyn._LISTS]}
+
+
+def assert_table_matches_population(w):
+    got = table(w)
+    assert {k: len(v) for k, v in got.items()} == dict.fromkeys(got, w.size)
+    for name, (dtype, shape) in dyn._COLUMNS.items():
+        assert (got[name].dtype, got[name].shape[1:]) == (dtype, shape), name
+
+
 class TestPerVehicleArrays:
+    # the arrays this class listed by hand before the table had a schema
+    HAND_LISTED = ["lead_idx", "gap", "ids", "route_ids", "kinds", "noise", "arc", "speed",
+                   "length", "_route_len", "_cyclic", "_noise_std", "_noise_block",
+                   "_noise_pos", "v0", "T", "a_max", "b", "delta", "s0"]
+
     def test_every_array_matches_the_population_after_each_step(self):
         w = merge_world(seed=1, noise_std=0.2, highway=600.0)
         for _ in range(750):
             dyn.step(w, 0.1)
-            arrays = {"lead_idx": w.lead_idx, "gap": w.gap, "ids": w.ids,
-                      "route_ids": w.route_ids, "kinds": w.kinds, "noise": w.noise,
-                      "arc": w.arc, "speed": w.speed, "length": w.length,
-                      "_route_len": w._route_len, "_cyclic": w._cyclic,
-                      "_noise_std": w._noise_std, "_noise_block": w._noise_block,
-                      "_noise_pos": w._noise_pos,
-                      **{f"_p[{k}]": v for k, v in w._p.items()}}
-            assert {k: len(v) for k, v in arrays.items()} == dict.fromkeys(arrays, w.size)
+            assert_table_matches_population(w)
             assert ((w.lead_idx >= -1) & (w.lead_idx < w.size)).all()
         assert w.removed_count > 0
+
+    def test_schema_holds_every_hand_listed_array(self):
+        assert set(self.HAND_LISTED) <= set(table(dyn.World(net.build_ring(100.0, 30.0), 0)))
+        assert set(dyn._COLUMNS).isdisjoint(dyn._LISTS)
+
+    def test_rows_keep_their_vehicle_through_growth_and_removals(self):
+        w = merge_world(seed=2, noise_std=0.2, highway=1500.0)
+        added = {}  # vehicle id -> (length, route length, cyclic, noise std, params)
+        add_vehicle = w.add_vehicle
+
+        def add_distinct(state, noise_std):
+            k = len(added)
+            params = dataclasses.replace(state.active_params, v0=25.0 + k % 11 * 0.5,
+                                         s0=1.5 + k % 7 * 0.1)
+            state = dataclasses.replace(state, length=4.0 + k % 13 * 0.1,
+                                        active_params=params)
+            noise_std = noise_std and noise_std + k * 1e-3
+            add_vehicle(state, noise_std)
+            route = w.network.route(state.route_id)
+            added[state.id] = (state.length, route.length, route.cyclic, noise_std, params)
+
+        def assert_rows_kept():
+            for i, vid in enumerate(w.ids):
+                row = (w.length[i], w._route_len[i], w._cyclic[i], w._noise_std[i],
+                       w.params_of(vid))
+                assert row == added[vid], vid
+
+        w.add_vehicle = add_distinct
+        capacities, set_after_removal = set(), False
+        for k in range(1500):
+            dyn.step(w, 0.1)
+            capacities.add(len(w._store["arc"]))
+            if w.removed_count and not set_after_removal and w.size > 2:
+                vid = w.ids[w.size // 2]
+                others = {v: w.params_of(v) for v in w.ids if v != vid}
+                new = dyn.IdmParams(v0=12.0, T=1.2, a_max=0.8, b=1.4, delta=4.0, s0=2.5)
+                w.set_params(vid, new)
+                assert w.params_of(vid) == new
+                assert others == {v: w.params_of(v) for v in w.ids if v != vid}
+                added[vid] = added[vid][:4] + (new,)
+                set_after_removal = True
+            if k % 10 == 0:
+                assert_rows_kept()
+        assert_rows_kept()
+        assert set_after_removal and len(capacities) >= 3  # 16 -> 32 -> 64 rows
+
+    def test_a_column_the_row_lacks_is_a_key_error(self, monkeypatch):
+        monkeypatch.setitem(dyn._COLUMNS, "unfilled", (np.float64, ()))
+        w = dyn.World(net.build_ring(100.0, 30.0), seed=0)
+        state = dyn.VehicleState(id="a", route_id="loop",
+                                 position=w.network.arc_to_lane("loop", 0.0), speed=0.0,
+                                 length=5.0, kind="human", active_params=P)
+        with pytest.raises(KeyError, match="unfilled"):
+            w.add_vehicle(state, 0.2)
+        assert w.size == 0 and not w._index
+
+    def test_set_links_needs_one_entry_per_vehicle(self):
+        w = uniform_ring_world(n=5)
+        lead, gap = w.lead_idx.copy(), w.gap.copy()
+        for bad in [(lead[:-1], gap), (lead, gap[:-1]), (lead[:1], gap[:1])]:
+            with pytest.raises(ValueError):
+                w.set_links(*bad)
+        np.testing.assert_array_equal(w.lead_idx, lead)
+        np.testing.assert_array_equal(w.gap, gap)
 
     def test_removal_renumbers_links(self):
         w = merge_world(seed=1, noise_std=0.2, highway=600.0)
@@ -522,3 +598,22 @@ class TestRingInvariantsAtScale:
             assert (w.speed >= 0.0).all()
             assert w.ids == ids
             assert abs(w.gap.sum() + w.length.sum() - length) <= 1e-6 * length
+
+
+class TestMergeInvariantsAtScale:
+    @settings(max_examples=2, deadline=None)
+    @example(highway=4000.0, main_vph=2400.0, ramp_vph=600.0, pen=0.3, noise_std=0.2,
+             seed=0)  # about 70 vehicles at once
+    @given(highway=st.floats(1000.0, 4000.0), main_vph=st.floats(600.0, 2400.0),
+           ramp_vph=st.floats(100.0, 600.0), pen=st.floats(0.0, 1.0),
+           noise_std=st.floats(0.0, 0.6), seed=st.integers(0, 2**16))
+    def test_scaled_merge(self, highway, main_vph, ramp_vph, pen, noise_std, seed):
+        w = dyn.World(net.build_merge(highway, 100.0, 30.0), seed=seed)
+        w.default_noise_std = noise_std
+        w.add_inflow("highway", main_vph, cav_fraction=pen, id_prefix="hw")
+        w.add_inflow("ramp", ramp_vph, cav_fraction=pen, id_prefix="ramp")
+        for _ in range(2000):
+            step_checking_crossings(w)  # a CollisionError fails the property
+            assert (w.speed >= 0.0).all()
+            assert (w.gap[w.lead_idx >= 0] > 0.0).all()
+            assert_table_matches_population(w)

@@ -11,6 +11,9 @@ would not notice a scene that lists a wrong neighbor or misorders them.
 agent id, the stage, each request turn's role and content, and the reply,
 as a recording backend logs them minus the timestamp and latency. It pins
 the prompts and replies that the exports only see through the planner.
+``seeds 1-2`` holds the ``metrics.json`` and ``trajectories.csv`` digests
+of the merge scenarios at seeds 1 and 2: the seed changes which vehicles
+arrive when, and so how the world's vehicle table grows and compacts.
 A refactor that moves any bit of these fails here; a change that means to
 move them must regenerate the digests and say why.
 """
@@ -27,6 +30,7 @@ from comal.llm_client import RecordingBackend
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_digests.json")
                     .read_text(encoding="utf-8"))
+MERGE_SEEDS = GOLDEN.pop("seeds 1-2")  # scenario -> seed -> export digests
 SCENES = "scenes"
 TRANSCRIPT = "transcript"
 
@@ -69,8 +73,21 @@ def test_golden_covers_the_catalog():
     assert sorted(GOLDEN) == sorted(cfg.name for cfg in sc.catalog())
     assert all(set(d) == {"metrics.json", "trajectories.csv", SCENES, TRANSCRIPT}
                for d in GOLDEN.values())
+    merges = sorted(cfg.name for cfg in sc.catalog() if cfg.topology == "merge")
+    assert {name: sorted(by_seed) for name, by_seed in MERGE_SEEDS.items()} == {
+        name: ["1", "2"] for name in merges}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_catalog_exports_byte_identical(name, tmp_path, monkeypatch):
     assert catalog_digests(name, tmp_path, monkeypatch) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name, seed", [(name, seed) for name in sorted(MERGE_SEEDS)
+                                        for seed in sorted(MERGE_SEEDS[name])])
+def test_merge_exports_byte_identical_at_more_seeds(name, seed, tmp_path):
+    result = harness.run(sc.find(name).replace(seed=int(seed)), ScriptedBackend())
+    paths = harness.export(result, tmp_path)
+    got = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+           for p in paths.values()}
+    assert got == MERGE_SEEDS[name][seed]
