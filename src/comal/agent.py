@@ -19,14 +19,13 @@ import operator
 import os
 import pathlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Protocol
 
 import numpy as np
 
 from . import dynamics as dyn
-from . import network as net_mod
 from .llm_client import (ChatTurn, PlannerParseError, _json_candidates,
                          extract_planner_json)
 
@@ -153,9 +152,11 @@ def _perceive_route(world, index, route_id: str, egos: list[int],
 
     Each ego's candidates are a contiguous slice of the route order after
     it, wrapped on a loop so that a full lap ends on the ego itself. Forward
-    gaps are ``(arc - ego_arc) % length`` in float64, the same IEEE
-    operations as ``network.forward_gap``. No visible extent exceeds the
-    longest vehicle, so every neighbor's forward gap is at most ``limit``;
+    arcs come from ``RouteIndex.ahead`` and extents from ``RouteIndex.extent``,
+    the geometry leader links read too. The leader, though, is the nearest
+    strictly positive forward arc, as ``network.leader_of`` chooses it, not
+    the next rank (see ``dynamics.RouteIndex``). No extent exceeds the
+    longest vehicle, so every neighbor's forward arc is at most ``limit``;
     ``np.searchsorted`` bounds that slice, widened by a margin far above
     rounding error (the exact tests below decide, so a wider slice only
     costs time). A leader found within ``limit`` has every nearer or tied
@@ -178,24 +179,13 @@ def _perceive_route(world, index, route_id: str, egos: list[int],
         span += np.minimum(np.searchsorted(arcs, reach - length, side="right"), k + 1)
         whole = np.full(len(ego), m)
     ids, kinds, speed = world.ids, world.kinds, world.speed.tolist()
-    extent = world.length[order]
-    if len(network.routes) > 1:  # vehicles on a shared edge from another route
-        for p, j in enumerate(order.tolist()):
-            if world.route_ids[j] != route_id:
-                extent[p] = net_mod.visible_extent(network, route, world.route_ids[j],
-                                                   float(world.arc[j]), float(world.length[j]))
+    extent = index.extent[route_id]
 
     def walk(rows, span):
         """Each row's nearest forward gap, and its (leader or -1, headway, neighbors)."""
         t = np.arange(1, max(int(span.max()), 1) + 1)
-        pos = k[rows, None] + t
-        pos = pos % m if route.cyclic else np.minimum(pos, m - 1)
+        pos, d = index.ahead(route, k[rows, None], t)
         j = order[pos]
-        me = ego[rows, None]
-        d = arcs[pos] - ego_arc[rows, None]
-        if route.cyclic:
-            d %= length
-            d[(d == 0.0) & (j == me)] = length  # chasing itself: one full lap
         ahead = (t <= span[:, None]) & (d > 0.0)
         lead_d = np.where(ahead, d, np.inf)
         nearest = lead_d.min(axis=1)
@@ -205,7 +195,7 @@ def _perceive_route(world, index, route_id: str, egos: list[int],
         lead_j = np.where(np.isfinite(nearest), j[r, col], -1)
         headway = nearest - extent[pos[r, col]]
         gap = d - extent[pos]
-        rr, cc = np.nonzero(ahead & (j != me) & (gap > 0.0) & (gap <= horizon))
+        rr, cc = np.nonzero(ahead & (pos != k[rows, None]) & (gap > 0.0) & (gap <= horizon))
         nj = j[rr, cc]
         cuts = np.searchsorted(rr, np.arange(len(rows) + 1)).tolist()
         rows_nb = [(ids[x], kinds[x], g, speed[x])
@@ -374,7 +364,6 @@ class MessagePool:
 
     def __init__(self):
         self.messages: list[Message] = []
-        self.assignments: list[RoleAssignment] = []
         self._rendered = "(none yet)"
 
     def publish(self, message: Message) -> None:
@@ -440,11 +429,7 @@ class RunFlags:
     backend_errors: int = 0
 
     def to_dict(self) -> dict:
-        return {"collision": self.collision,
-                "brainstorm_fallbacks": self.brainstorm_fallbacks,
-                "planner_fallbacks": self.planner_fallbacks,
-                "parse_failures": self.parse_failures,
-                "backend_errors": self.backend_errors}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def parse_role_block(text: str, expected_ids: set[str]) -> dict[str, str] | None:
@@ -475,18 +460,24 @@ def parse_role_block(text: str, expected_ids: set[str]) -> dict[str, str] | None
     return dict(block)
 
 
-def fallback_roles(scene_per_cav: dict[str, SceneDescription]) -> dict[str, str]:
-    """Deterministic role allocation when brainstorming fails.
+def allocate_roles(scenario_tag: str, positions: dict[str, float]) -> dict[str, str]:
+    """The scripted role rule over ``{vehicle id: route position}``.
 
-    Figure-eight: the front-most vehicle by arc position leads a queue;
-    everyone else follows. Ring and merge: every vehicle damps waves.
+    Figure-eight: the front-most vehicle by position (ties to the greatest
+    id) leads a queue; everyone else follows. Ring and merge: every vehicle
+    damps waves.
     """
+    if scenario_tag == "figure_eight":
+        front = max(positions, key=lambda v: (positions[v], v))
+        return {v: ("leader" if v == front else "follower") for v in positions}
+    return dict.fromkeys(positions, "wave_dampener")
+
+
+def fallback_roles(scene_per_cav: dict[str, SceneDescription]) -> dict[str, str]:
+    """Deterministic role allocation when brainstorming fails: :func:`allocate_roles`."""
     ids = sorted(scene_per_cav)
     tag = scene_per_cav[ids[0]].scenario_tag if ids else "ring"
-    if tag == "figure_eight":
-        front = max(ids, key=lambda v: (scene_per_cav[v].position_arc, v))
-        return {v: ("leader" if v == front else "follower") for v in ids}
-    return {v: "wave_dampener" for v in ids}
+    return allocate_roles(tag, {v: scene_per_cav[v].position_arc for v in ids})
 
 
 def brainstorm(cav_ids, pool: MessagePool, backend: ReasonBackend,
@@ -526,18 +517,11 @@ def brainstorm(cav_ids, pool: MessagePool, backend: ReasonBackend,
             if TERMINATOR in reply:
                 block = parse_role_block(reply, expected)
                 if block is not None:
-                    assignments = [
-                        RoleAssignment(v, block[v],
-                                       f"agreed in brainstorming round {rnd}")
-                        for v in ids]
-                    pool.assignments = assignments
-                    return assignments
+                    return [RoleAssignment(v, block[v], f"agreed in brainstorming round {rnd}")
+                            for v in ids]
     flags.brainstorm_fallbacks += 1
     roles = fallback_roles(scene_per_cav)
-    assignments = [RoleAssignment(v, roles[v], "scripted fallback allocation")
-                   for v in ids]
-    pool.assignments = assignments
-    return assignments
+    return [RoleAssignment(v, roles[v], "scripted fallback allocation") for v in ids]
 
 
 # -- scripted policy ---------------------------------------------------------
@@ -624,14 +608,11 @@ class ScriptedBackend:
             return (f"status id={agent_id} position={own_pos:.2f} "
                     f"speed={own_speed:.2f}")
         tag = scene.scenario_tag if scene is not None else "ring"
+        roles = allocate_roles(tag, {v: statuses.get(v, (0.0, 0.0))[0] for v in participants})
         if tag == "figure_eight":
-            front = max(participants, key=lambda v: (statuses.get(v, (0.0, 0.0))[0], v))
-            roles = {v: ("leader" if v == front else "follower")
-                     for v in participants}
             plan = ("We form a single queue: the front vehicle paces the group "
                     "and everyone else holds tight behind it.")
         else:
-            roles = {v: "wave_dampener" for v in participants}
             plan = ("No fixed queue here: each of us smooths the flow around "
                     "itself and soaks up any wave it meets.")
         return f"{plan}\n{TERMINATOR}\n{json.dumps(roles, sort_keys=True)}"
@@ -711,10 +692,7 @@ def reason(role: str, scene: SceneDescription | None, experiences,
 _idm_params = functools.lru_cache(maxsize=256, typed=True)(dyn.IdmParams)
 
 
-def execute(planner: PlannerSpec,
-            fixed: tuple[float, float, float] = (dyn.FIXED_T, dyn.FIXED_B,
-                                                 dyn.FIXED_DELTA)) -> dyn.IdmParams:
+def execute(planner: PlannerSpec) -> dyn.IdmParams:
     """Merge the planner triple with the fixed car-following constants."""
-    T, b, delta = fixed
-    return _idm_params(v0=planner.v0, T=T, a_max=planner.a_max, b=b,
-                       delta=delta, s0=planner.s0)
+    return _idm_params(v0=planner.v0, T=dyn.FIXED_T, a_max=planner.a_max, b=dyn.FIXED_B,
+                       delta=dyn.FIXED_DELTA, s0=planner.s0)

@@ -150,22 +150,18 @@ def run_cmd(scenario_name, backend_name, seed, out_dir, config_path, no_collab,
               help="comma-separated CAV rates; sweeps the merge template instead")
 @click.option("--scenario", "template_name", default="Merge 0", show_default=True,
               help="template for a penetration sweep")
-@click.option("--backend", "backend_name",
-              type=click.Choice(["scripted"]), default="scripted", show_default=True)
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="write the aggregated table as CSV")
-def sweep_cmd(scenarios, seeds, penetrations, template_name, backend_name,
-              workers, out_path):
-    """Aggregate runs over seeds, per scenario or per penetration rate."""
+def sweep_cmd(scenarios, seeds, penetrations, template_name, workers, out_path):
+    """Aggregate scripted runs over seeds, per scenario or per penetration rate."""
     if penetrations:
         template = sc.find(template_name)
-        table = harness.penetration_sweep(template, seeds, penetrations,
-                                          backend_name, workers)
+        table = harness.penetration_sweep(template, seeds, penetrations, workers)
     elif scenarios:
         cells = [harness.SweepCell(label=name.strip(), config=sc.find(name))
                  for name in scenarios.split(",") if name.strip()]
-        table = harness.sweep(cells, seeds, backend_name, workers)
+        table = harness.sweep(cells, seeds, workers)
     else:
         raise click.UsageError("pass --scenarios or --penetrations")
     click.echo(table.format_table())

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from . import network as net_mod
-from .network import LanePosition, NetworkSpec
+from .network import LanePosition, NetworkSpec, Route
 
 # Constants held fixed by the execution model; planners tune only
 # (v0, a_max, s0).
@@ -249,15 +249,38 @@ class RouteIndex:
 
     Keyed by route id. ``order`` holds vehicle indices: the route's own
     vehicles plus any projected onto it from a shared edge, sorted by arc
-    with ties in index order. ``arcs`` holds their arcs in the same order.
+    with ties in index order. ``arcs`` holds their arcs in the same order,
+    and ``extent`` how much of each body lies on the route: the length of
+    its own vehicles, ``network.visible_extent`` for the projected ones.
     ``rank[route_id][j]`` is vehicle j's position in ``order[route_id]``,
     -1 when j is not on that route. Valid until a vehicle moves, arrives or
     leaves.
+
+    Leader links and perception share this geometry: the extents and the
+    forward arcs of :meth:`ahead`. They choose the leader differently on
+    purpose. Links take the next rank even at an equal arc, so an overlap
+    reads as a non-positive gap and aborts the run; perception takes the
+    nearest strictly positive forward arc, as ``network.leader_of`` does.
     """
 
     order: dict[str, np.ndarray]
     arcs: dict[str, np.ndarray]
     rank: dict[str, np.ndarray]
+    extent: dict[str, np.ndarray]
+
+    def ahead(self, route: Route, k, t):
+        """Positions ``t`` ranks ahead of positions ``k`` (arrays that broadcast)
+        on ``route``, wrapped on a loop and stopped at an open route's front,
+        and the forward arcs ``arcs[pos] - arcs[k]`` to them: taken ``% length``
+        on a loop as ``network.forward_gap`` does, a full lap back to the
+        vehicle itself reading the whole length."""
+        arcs = self.arcs[route.id]
+        pos = np.add(k, t) % len(arcs) if route.cyclic else np.minimum(np.add(k, t), len(arcs) - 1)
+        d = arcs[pos] - arcs[k]
+        if route.cyclic:
+            d %= route.length
+            d[pos == k] = route.length
+        return pos, d
 
 
 class World:
@@ -373,50 +396,45 @@ class World:
     def route_index(self) -> RouteIndex:
         """Sort the vehicles present on each route by their arc along it."""
         n = self.size
-        positions = list(zip(self.route_ids, self.arc.tolist()))
-        order, arcs, rank = {}, {}, {}
+        positions = list(zip(self.route_ids, self.arc.tolist(), self.length.tolist()))
+        order, arcs, rank, extent = {}, {}, {}, {}
         for route in self.network.routes.values():
-            idxs, proj = [], []
-            for j, (rid, arc) in enumerate(positions):
+            idxs, proj, ext = [], [], []
+            for j, (rid, arc, length) in enumerate(positions):
                 a = net_mod.project_onto_route(self.network, route, rid, arc)
                 if a is not None:
                     idxs.append(j)
                     proj.append(a)
+                    ext.append(length if rid == route.id else
+                               net_mod.visible_extent(self.network, route, rid, arc, length))
             by_arc = np.argsort(np.asarray(proj, dtype=float), kind="stable")
             order[route.id] = np.asarray(idxs, dtype=np.intp)[by_arc]
             arcs[route.id] = np.asarray(proj, dtype=float)[by_arc]
+            extent[route.id] = np.asarray(ext, dtype=float)[by_arc]
             rank[route.id] = np.full(n, -1, dtype=np.intp)
             rank[route.id][order[route.id]] = np.arange(len(idxs))
-        return RouteIndex(order, arcs, rank)
+        return RouteIndex(order, arcs, rank, extent)
 
     def rebuild_links(self, index: RouteIndex | None = None) -> None:
         """Derive leader links and bumper gaps from current positions.
 
-        ``index`` is the world's current ``route_index()``; without one the
-        method builds its own.
+        A gather on ``index``, the world's current ``route_index()`` (built
+        when omitted): each vehicle leads to the next rank on its own route,
+        even at an equal arc (see :class:`RouteIndex`), its gap the forward
+        arc less the leader's extent. The front of an open route has none.
         """
         self.lead_idx[:] = -1
         self.gap[:] = np.inf
         index = index or self.route_index()
-        for i in range(self.size):
-            rid = self.route_ids[i]
-            route = self.network.route(rid)
-            idxs, arcs = index.order[rid], index.arcs[rid]
-            k = int(index.rank[rid][i])
-            k_lead = (k + 1) % len(idxs) if route.cyclic else k + 1
-            if k_lead == len(idxs):
-                continue  # front of an open route: nothing ahead
-            j = int(idxs[k_lead])
-            if j == i:  # alone on the loop: it chases itself
-                self.lead_idx[i] = i
-                self.gap[i] = route.length - float(self.length[i])
-                continue
-            d = float(arcs[k_lead]) - float(arcs[k])
-            if route.cyclic:
-                d %= route.length
-            self.lead_idx[i] = j
-            self.gap[i] = d - net_mod.visible_extent(self.network, route, self.route_ids[j],
-                                                     float(self.arc[j]), float(self.length[j]))
+        route_of = np.array(self.route_ids, dtype=str)
+        for route in self.network.routes.values():
+            order = index.order[route.id]
+            k = np.flatnonzero(route_of[order] == route.id)  # the route's own vehicles
+            if not route.cyclic:
+                k = k[k < len(order) - 1]  # the front of an open route: nothing ahead
+            pos, d = index.ahead(route, k, 1)
+            self.lead_idx[order[k]] = order[pos]
+            self.gap[order[k]] = d - index.extent[route.id][pos]
 
     # -- conflict-point gating ----------------------------------------------
 

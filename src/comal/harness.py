@@ -385,9 +385,9 @@ class SweepTable:
 
 
 def _run_cell(args) -> tuple[str, int, float, float, str]:
-    label, cfg, backend_name = args
+    label, cfg = args
     try:
-        result = run(cfg, make_backend(backend_name), keep_samples=False)
+        result = run(cfg, keep_samples=False)
         if result.flags.get("collision"):
             return label, cfg.seed, math.nan, math.nan, "collision"
         return label, cfg.seed, result.avg_speed, result.speed_std, ""
@@ -395,9 +395,8 @@ def _run_cell(args) -> tuple[str, int, float, float, str]:
         return label, cfg.seed, math.nan, math.nan, f"{type(exc).__name__}: {exc}"
 
 
-def sweep(cells: list[SweepCell], seeds, backend_name: str = "scripted",
-          workers: int = 1) -> SweepTable:
-    """Run every (cell, seed) pair and aggregate per cell.
+def sweep(cells: list[SweepCell], seeds, workers: int = 1) -> SweepTable:
+    """Run every (cell, seed) pair on the scripted backend and aggregate per cell.
 
     Cell labels must be unique. Errors are recorded per cell and do not
     stop the sweep. With ``workers > 1`` independent runs execute in
@@ -410,8 +409,7 @@ def sweep(cells: list[SweepCell], seeds, backend_name: str = "scripted",
     if len(set(labels)) != len(labels):
         dupes = sorted({lb for lb in labels if labels.count(lb) > 1})
         raise ValueError(f"duplicate sweep labels: {dupes}")
-    jobs = [(cell.label, cell.config.replace(seed=seed), backend_name)
-            for cell in cells for seed in seeds]
+    jobs = [(cell.label, cell.config.replace(seed=seed)) for cell in cells for seed in seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, jobs))
@@ -439,10 +437,10 @@ def sweep(cells: list[SweepCell], seeds, backend_name: str = "scripted",
 
 
 def penetration_sweep(template: sc.ScenarioConfig, seeds, penetrations,
-                      backend_name: str = "scripted", workers: int = 1) -> SweepTable:
+                      workers: int = 1) -> SweepTable:
     """Sweep a merge template over CAV penetration rates."""
     cells = [SweepCell(label=f"pen={p:.3f}",
                        config=template.replace(penetration=p,
                                                name=f"{template.name} pen={p:.3f}"))
              for p in penetrations]
-    return sweep(cells, seeds, backend_name, workers)
+    return sweep(cells, seeds, workers)

@@ -223,8 +223,9 @@ class RecordingBackend:
 class ReplayBackend:
     """Serves responses from a recorded transcript, in recorded order.
 
-    Each call must match the recorded agent and stage; a mismatch means the
-    run diverged from the recording and surfaces as a transport error (the
+    Each call must match the recorded agent and stage, and the recorded
+    ``request`` turns when the record holds them; a mismatch means the run
+    diverged from the recording and surfaces as a transport error (the
     agent layer then falls back to scripted defaults and flags the run).
     """
 
@@ -244,5 +245,9 @@ class ReplayBackend:
             raise LlmTransportError(
                 f"replay mismatch: recorded ({rec.get('agent_id')}, {rec.get('stage')}), "
                 f"requested ({agent_id}, {stage})")
+        if "request" in rec and rec["request"] != [
+                {"role": t.role, "content": t.content} for t in turns]:
+            raise LlmTransportError(
+                f"replay mismatch: ({agent_id}, {stage}) asked other turns than recorded")
         self._cursor += 1
         return rec["response"]

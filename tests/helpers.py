@@ -3,6 +3,7 @@ import csv
 import io
 
 import numpy as np
+from hypothesis import strategies as st
 
 from comal import dynamics as dyn
 from comal import network as net
@@ -31,6 +32,77 @@ def uniform_ring_world(n=22, length=230.0, speed_limit=30.0, noise_std=0.0,
     w.rebuild_links()
     w.set_links(w.lead_idx, np.full(n, spacing - vehicle_length))
     return w
+
+
+PROPERTY_NETWORKS = {
+    "ring": net.build_ring(230.0, 30.0),
+    "figure_eight": net.build_figure_eight(30.0, 30.0),
+    "merge": net.build_merge(600.0, 100.0, 30.0),
+}
+
+
+@st.composite
+def perception_worlds(draw, min_vehicles=1):
+    """Small worlds with shared arcs and vehicles straddling the merge junction.
+
+    With few vehicles a loop often holds one alone and a merge route none.
+    """
+    network = PROPERTY_NETWORKS[draw(st.sampled_from(sorted(PROPERTY_NETWORKS)))]
+    junctions = {rid: arc for cp in network.conflict_points for rid, arc in cp.points}
+    used = {rid: [] for rid in network.routes}
+    w = dyn.World(network, seed=0)
+    for k in range(draw(st.integers(min_vehicles, 12))):
+        rid = draw(st.sampled_from(sorted(network.routes)))
+        length = network.route(rid).length
+        options = [st.floats(0.0, length, exclude_max=True)]
+        if used[rid]:
+            options.append(st.sampled_from(used[rid]))
+        if rid in junctions:
+            options.append(st.floats(-8.0, 8.0).map(
+                lambda dx, at=junctions[rid]: min(max(at + dx, 0.0), length - 1e-6)))
+        arc = draw(st.one_of(options))
+        used[rid].append(arc)
+        w.add_vehicle(dyn.VehicleState(
+            id=f"v{k:02d}", route_id=rid, position=network.arc_to_lane(rid, arc),
+            speed=draw(st.floats(0.0, 30.0)),
+            length=draw(st.sampled_from([2.0, 5.0, 7.5, 12.0])),
+            kind=draw(st.sampled_from(["human", "cav"])),
+            active_params=dyn.human_params(30.0)), 0.0)
+    return w
+
+
+def reference_links(world, index):
+    """Leader links and bumper gaps derived one vehicle at a time.
+
+    Each vehicle's leader is the next rank of ``index`` on its own route
+    (wrapping on a loop, where a lone vehicle chases itself; none for the
+    front of an open route), its gap the forward arc in Python floats less
+    the leader's ``network.visible_extent``. This is the per-vehicle
+    reference ``World.rebuild_links`` must reproduce bit for bit. Returns
+    ``(lead_idx, gap)`` arrays and leaves the world alone.
+    """
+    lead_idx = np.full(world.size, -1, dtype=np.intp)
+    gap = np.full(world.size, np.inf)
+    for i in range(world.size):
+        rid = world.route_ids[i]
+        route = world.network.route(rid)
+        idxs, arcs = index.order[rid], index.arcs[rid]
+        k = int(index.rank[rid][i])
+        k_lead = (k + 1) % len(idxs) if route.cyclic else k + 1
+        if k_lead == len(idxs):
+            continue  # front of an open route: nothing ahead
+        j = int(idxs[k_lead])
+        if j == i:  # alone on the loop: it chases itself
+            lead_idx[i] = i
+            gap[i] = route.length - float(world.length[i])
+            continue
+        d = float(arcs[k_lead]) - float(arcs[k])
+        if route.cyclic:
+            d %= route.length
+        lead_idx[i] = j
+        gap[i] = d - net.visible_extent(world.network, route, world.route_ids[j],
+                                        float(world.arc[j]), float(world.length[j]))
+    return lead_idx, gap
 
 
 def signed_dist_to(world, i, route_id, cp_arc):

@@ -1,4 +1,5 @@
 """Perception rendering, memory recall, collaboration, reasoning, execution."""
+import dataclasses
 import json
 import math
 
@@ -17,7 +18,8 @@ from comal.agent import (Experience, MemoryStore, Message, MessagePool,
                          reason, recall, scripted_backend_policy)
 from comal.llm_client import ChatTurn
 
-from helpers import reference_parse_scene_text, uniform_ring_world
+from helpers import (PROPERTY_NETWORKS, perception_worlds, reference_parse_scene_text,
+                     uniform_ring_world)
 
 
 def make_scene(**kw):
@@ -142,40 +144,6 @@ def reference_scene(world, ego_id, horizon):
         speed_limit=network.speed_limit, route_length=route.length,
         cyclic=route.cyclic, intersections=len(network.conflict_points),
         position_arc=ego_arc, neighbors=tuple(neighbors))
-
-
-PROPERTY_NETWORKS = {
-    "ring": net.build_ring(230.0, 30.0),
-    "figure_eight": net.build_figure_eight(30.0, 30.0),
-    "merge": net.build_merge(600.0, 100.0, 30.0),
-}
-
-
-@st.composite
-def perception_worlds(draw):
-    """Small worlds with shared arcs and vehicles straddling the merge junction."""
-    network = PROPERTY_NETWORKS[draw(st.sampled_from(sorted(PROPERTY_NETWORKS)))]
-    junctions = {rid: arc for cp in network.conflict_points for rid, arc in cp.points}
-    used = {rid: [] for rid in network.routes}
-    w = dyn.World(network, seed=0)
-    for k in range(draw(st.integers(1, 12))):
-        rid = draw(st.sampled_from(sorted(network.routes)))
-        length = network.route(rid).length
-        options = [st.floats(0.0, length, exclude_max=True)]
-        if used[rid]:
-            options.append(st.sampled_from(used[rid]))
-        if rid in junctions:
-            options.append(st.floats(-8.0, 8.0).map(
-                lambda dx, at=junctions[rid]: min(max(at + dx, 0.0), length - 1e-6)))
-        arc = draw(st.one_of(options))
-        used[rid].append(arc)
-        w.add_vehicle(dyn.VehicleState(
-            id=f"v{k:02d}", route_id=rid, position=network.arc_to_lane(rid, arc),
-            speed=draw(st.floats(0.0, 30.0)),
-            length=draw(st.sampled_from([2.0, 5.0, 7.5, 12.0])),
-            kind=draw(st.sampled_from(["human", "cav"])),
-            active_params=dyn.human_params(30.0)), 0.0)
-    return w
 
 
 def assert_indexed_matches_reference(w, horizons):
@@ -620,6 +588,15 @@ class TestReason:
         assert "## Planner generation" in seen["prompt"]
 
 
+class TestRunFlags:
+    def test_dict_holds_every_field(self):
+        flags = RunFlags(collision=True, backend_errors=3)
+        assert list(flags.to_dict()) == [f.name for f in dataclasses.fields(RunFlags)]
+        assert flags.to_dict() == {"collision": True, "brainstorm_fallbacks": 0,
+                                   "planner_fallbacks": 0, "parse_failures": 0,
+                                   "backend_errors": 3}
+
+
 class TestExecute:
     def test_merges_with_fixed_constants(self):
         params = execute(PlannerSpec(v0=30.0, a_max=1.0, s0=2.0))
@@ -643,3 +620,16 @@ class TestFallbackRoles:
     def test_ring_all_dampeners(self):
         scenes = {"a": make_scene(ego_id="a"), "b": make_scene(ego_id="b")}
         assert set(fallback_roles(scenes).values()) == {"wave_dampener"}
+
+    @pytest.mark.parametrize("tag", ["figure_eight", "ring", "merge"])
+    def test_scripted_brainstorm_and_fallback_share_one_rule(self, tag):
+        # a tie at the front goes to the greatest id, in both
+        positions = {"cav_00": 40.0, "cav_01": 12.5, "cav_02": 40.0, "cav_03": 7.0}
+        scenes = {v: make_scene(ego_id=v, scenario_tag=tag, position_arc=pos)
+                  for v, pos in positions.items()}
+        agreed = brainstorm(sorted(positions), MessagePool(), ScriptedBackend(), scenes,
+                            max_rounds=1)
+        assert fallback_roles(scenes) == {a.vehicle_id: a.role for a in agreed}
+        assert fallback_roles(scenes) == agent.allocate_roles(tag, positions)
+        if tag == "figure_eight":
+            assert [a.role for a in agreed] == ["follower", "follower", "leader", "follower"]

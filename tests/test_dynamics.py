@@ -12,8 +12,10 @@ from comal import dynamics as dyn
 from comal import kernels
 from comal import network as net
 from comal import scenario as sc
+from comal.agent import perceive
 
-from helpers import signed_dist_to, uniform_ring_world
+from helpers import (PROPERTY_NETWORKS, perception_worlds, reference_links, signed_dist_to,
+                     uniform_ring_world)
 
 P = dyn.IdmParams(v0=30.0, T=1.0, a_max=1.0, b=1.5, delta=4.0, s0=2.0)
 
@@ -388,6 +390,60 @@ class TestGateDistances:
         assert dist["eight", 0.0][0] == half  # (-L/2, L/2]: +L/2, not -L/2
         assert dist["eight", half][0] == 0.0
         assert_gate_distances_match_reference(w)
+
+
+def assert_links_match_reference(w):
+    """``rebuild_links`` equals the per-vehicle reference, gaps bit for bit,
+    and the index's extents equal ``visible_extent`` for every listed vehicle."""
+    index = w.route_index()
+    for route in w.network.routes.values():
+        want = [net.visible_extent(w.network, route, w.route_ids[j], float(w.arc[j]),
+                                   float(w.length[j])) for j in index.order[route.id]]
+        assert index.extent[route.id].tobytes() == np.asarray(want, dtype=float).tobytes()
+    lead_idx, gap = reference_links(w, index)
+    w.rebuild_links(index)
+    assert w.lead_idx.tolist() == lead_idx.tolist()
+    assert w.gap.tobytes() == gap.tobytes()
+
+
+class TestLinksFromTheIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(perception_worlds(min_vehicles=0))
+    def test_match_per_vehicle_reference(self, w):
+        assert_links_match_reference(w)
+
+    def test_a_tie_links_with_a_negative_gap(self):
+        w = dyn.World(PROPERTY_NETWORKS["ring"], seed=0)
+        add_at(w, "a", "loop", 100.0)
+        add_at(w, "b", "loop", 100.0)
+        assert_links_match_reference(w)
+        assert w.lead_idx.tolist() == [1, 0] and w.gap.tolist() == [-5.0, -5.0]
+        # perception skips the zero forward arc and sees the ego a lap ahead
+        assert perceive(w, "a", 50.0).leader_id == "a"
+
+    def test_lone_vehicle_chases_itself_around_the_loop(self):
+        network = PROPERTY_NETWORKS["figure_eight"]
+        w = dyn.World(network, seed=0)
+        add_at(w, "solo", "eight", 40.0, length=7.5)
+        assert_links_match_reference(w)
+        assert w.lead_idx.tolist() == [0]
+        assert w.gap[0] == network.route("eight").length - 7.5
+
+    def test_straddling_leader_counts_only_its_part_on_the_route(self):
+        w = dyn.World(PROPERTY_NETWORKS["merge"], seed=0)
+        add_at(w, "behind", "highway", 390.0)
+        add_at(w, "straddling", "ramp", 102.0)  # front 2 m onto the shared edge
+        assert_links_match_reference(w)
+        assert w.lead_idx.tolist() == [1, -1]
+        assert w.gap[0] == 402.0 - 390.0 - 2.0
+
+    def test_an_empty_route_and_an_empty_world(self):
+        w = dyn.World(PROPERTY_NETWORKS["merge"], seed=0)
+        assert_links_match_reference(w)
+        add_at(w, "front", "highway", 50.0)
+        add_at(w, "back", "highway", 20.0)
+        assert_links_match_reference(w)  # the ramp holds nobody
+        assert w.lead_idx.tolist() == [-1, 0] and w.gap[1] == 25.0
 
 
 def merge_world(seed, noise_std, pen=0.3, highway=300.0):

@@ -249,6 +249,15 @@ class TestReplayFlow:
         assert replayed.speed_std == recorded.speed_std
         assert replayed.flags == recorded.flags
 
+    def test_replay_onto_another_seed_is_a_divergence(self, tmp_path):
+        # the agents and stages come in the recorded order; the scenes do not
+        log_path = tmp_path / "transcript.jsonl"
+        log = TranscriptLog(log_path)
+        run(MINI_RING.replace(seed=4), RecordingBackend(ScriptedBackend(), log, "rec"))
+        log.close()
+        replayed = run(MINI_RING.replace(seed=5), ReplayBackend(log_path))
+        assert replayed.flags["backend_errors"] > 0
+
 
 class TestSweep:
     def test_single_cell_single_seed_equals_run(self):
@@ -392,6 +401,13 @@ class TestCli:
         # full Ring 0 x 2 seeds is quick enough and exercises the real path
         assert out.exit_code == 0, out.output
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_has_no_backend_option(self):
+        from click.testing import CliRunner
+        from comal.cli import main
+        out = CliRunner().invoke(main, ["sweep", "--scenarios", "Ring 0",
+                                        "--backend", "scripted"])
+        assert out.exit_code == 2 and "No such option '--backend'" in out.output
 
     @pytest.mark.parametrize("option,value", [
         ("--seeds", "5..3"), ("--seeds", "a,b"), ("--seeds", "1..x"),

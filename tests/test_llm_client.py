@@ -273,6 +273,17 @@ class TestTranscriptAndReplay:
         with pytest.raises(LlmTransportError):
             backend.complete(TURNS, agent_id="a", stage="collaboration")
 
+    def test_replay_compares_the_recorded_request(self):
+        record = {"agent_id": "a", "stage": "reason", "response": "x",
+                  "request": [{"role": t.role, "content": t.content} for t in TURNS]}
+        assert ReplayBackend([record]).complete(TURNS, agent_id="a", stage="reason") == "x"
+        backend = ReplayBackend([record])
+        with pytest.raises(LlmTransportError, match="other turns"):
+            backend.complete(TURNS[:1] + [ChatTurn("user", "hello!")],
+                             agent_id="a", stage="reason")
+        with pytest.raises(LlmTransportError, match="other turns"):
+            backend.complete(TURNS[:1], agent_id="a", stage="reason")
+
     def test_replay_from_file(self, tmp_path):
         path = tmp_path / "t.jsonl"
         log = TranscriptLog(path)
