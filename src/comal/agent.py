@@ -596,17 +596,22 @@ class ScriptedBackend:
     def _collaboration_turn(self, text: str, agent_id: str) -> str:
         scene = parse_scene_text(text)
         m_order = self._ORDER_RE.search(text)
-        participants = ([p.strip() for p in m_order.group(1).split(",")]
-                        if m_order else [agent_id])
         m_pos = self._POSITION_RE.search(text)
         own_pos = float(m_pos.group(1)) if m_pos else 0.0
         own_speed = scene.ego_speed if scene is not None else 0.0
+        status = f"status id={agent_id} position={own_pos:.2f} speed={own_speed:.2f}"
+        # Every status match starts with "status id=" and none overlap, so the
+        # count plus the speaker's own bounds the statuses known; the commas
+        # plus one are the participants. Below that, someone is still unheard.
+        if m_order and text.count("status id=") + 1 < m_order.group(1).count(",") + 1:
+            return status
+        participants = ([p.strip() for p in m_order.group(1).split(",")]
+                        if m_order else [agent_id])
         statuses = {vid: (float(pos), float(spd))
                     for vid, pos, spd in self._STATUS_RE.findall(text)}
         statuses[agent_id] = (own_pos, own_speed)
         if len(statuses) < len(participants):
-            return (f"status id={agent_id} position={own_pos:.2f} "
-                    f"speed={own_speed:.2f}")
+            return status
         tag = scene.scenario_tag if scene is not None else "ring"
         roles = allocate_roles(tag, {v: statuses.get(v, (0.0, 0.0))[0] for v in participants})
         if tag == "figure_eight":
