@@ -18,6 +18,7 @@ import json
 import math
 import operator
 import os
+import secrets
 import shutil
 import signal
 import tempfile
@@ -27,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from . import agent as agent_mod
 from . import dynamics as dyn
@@ -260,8 +262,20 @@ def run(cfg: sc.ScenarioConfig, backend=None, *, memory: MemoryStore | None = No
 # -- export -------------------------------------------------------------------
 
 def _atomic_write(directory, filename: str, write_fn) -> str:
-    """Write via a temp file in the target directory, then rename."""
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{filename}.", suffix=".tmp")
+    """Write via a temp file in the target directory, then rename.
+
+    The file gets the mode ``open(path, "w")`` would give it: 0o666 less
+    the umask, applied by the kernel at creation.
+    """
+    # O_BINARY, where it exists, keeps the OS from translating the "\r\n" rows
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:  # a fresh name, as tempfile.mkstemp picks one, but not mode 0o600
+        tmp = os.path.join(directory, f".{filename}.{secrets.token_hex(4)}.tmp")
+        try:
+            fd = os.open(tmp, flags, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             write_fn(fh)
@@ -282,10 +296,12 @@ def _csv_field(value: str) -> str:
 
 
 # A part must be worth its fork. On a 2-vCPU x86 host, forking and reaping a
-# 60-MB process takes about 3 ms, a part costs about 5 ms in all, and a sample
-# formats in about 1.7 us: two parts already beat one at 11,000 samples
-# (14 ms vs 18 ms). A part of this many samples takes about 17 ms.
-MIN_SAMPLES_PER_PART = 10_000
+# 60-MB process takes 2-3 ms, a sample formats in about 0.5 us, and a part
+# costs about 5-8 ms beyond its samples (the fork, its file, the copy, the wait
+# on the slower range): two parts beat one from about 30,000-40,000 samples
+# (best of 25: 13.7 vs 15.9 ms at 30,000, 19.5 vs 20.4 ms at 40,000). A part of
+# this many samples takes about 10 ms.
+MIN_SAMPLES_PER_PART = 20_000
 
 
 def _usable_cpus() -> int:
@@ -304,6 +320,24 @@ def _part_count(n_samples: int) -> int:
     return max(1, min(_usable_cpus(), n_samples // MIN_SAMPLES_PER_PART))
 
 
+def _float_fields(col: np.ndarray) -> list[str]:
+    """``repr`` of every float64 in the 1-D array ``col``, formatted natively.
+
+    orjson writes the same shortest round-trip digits as ``repr`` and
+    differs only in exponent style (``0.00001`` for ``1e-05``, ``1e16`` for
+    ``1e+16``) and in writing ``null`` for nan and inf. So its text is kept
+    for 0, -0 and every ``1e-4 <= |x| < 1e16``, and ``repr`` formats the
+    rest: nonzero ``|x| < 1e-4``, ``|x| >= 1e16``, nan and inf.
+    """
+    if not col.size:
+        return []
+    fields = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(col)
+    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (col != 0)).tolist():
+        fields[i] = repr(float(col[i]))
+    return fields
+
+
 def _write_rows(fh, cols: TrajectorySamples, lo: int, hi: int) -> None:
     """Write the CSV rows of steps ``lo`` to ``hi`` (excluded), one step at a time."""
     field: dict[str, str] = {}  # vehicle id -> its CSV field
@@ -317,8 +351,8 @@ def _write_rows(fh, cols: TrajectorySamples, lo: int, hi: int) -> None:
                     field[v] = _csv_field(v)
             id_fields = [field[v] for v in ids]
         t = repr(time)
-        fh.write("".join([f"{t},{f},{x!r},{v!r}\r\n" for f, x, v
-                          in zip(id_fields, pos.tolist(), speed.tolist())]))
+        fh.write("".join([f"{t},{f},{x},{v}\r\n" for f, x, v
+                          in zip(id_fields, _float_fields(pos), _float_fields(speed))]))
 
 
 def _format_part(path: str, cols: TrajectorySamples, lo: int, hi: int) -> None:

@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-import requests
-
 DEFAULT_API_KEY_ENV = "COMAL_API_KEY"
 
 
@@ -74,6 +72,8 @@ def complete(config: BackendConfig, turns: list[ChatTurn], *,
     delay plus up to 50% jitter); other HTTP errors surface immediately. A
     missing API key fails before any network traffic.
     """
+    import requests  # here, not at the top: most runs never call out
+
     key = os.environ.get(config.api_key_env)
     if not key:
         raise LlmConfigError(

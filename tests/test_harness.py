@@ -8,6 +8,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comal import dynamics as dyn
 from comal import harness
@@ -160,6 +162,19 @@ class TestExport:
             harness._atomic_write(tmp_path, "out.txt", boom)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_files_get_the_mode_a_plain_open_gives(self, tmp_path, umask, mode):
+        result = run(MINI_RING.replace(seed=4))
+        old = os.umask(umask)
+        try:
+            paths = export(result, tmp_path)
+        finally:
+            os.umask(old)
+        assert [os.stat(p).st_mode & 0o777 for p in paths.values()] == [mode, mode]
+        with open(paths["trajectories"], "rb") as fh:
+            assert fh.read() == reference_trajectories_csv(result.samples)
+
 
 def hand_built_result(samples) -> RunResult:
     return RunResult(avg_speed=1.0, speed_std=0.0, samples=samples, flags={},
@@ -235,6 +250,52 @@ class TestColumnarSamples:
     def test_without_samples_is_empty(self):
         result = run(MINI_RING, keep_samples=False)
         assert len(result.samples) == 0 and result.samples == []
+
+
+# where repr and orjson's exponent styles meet, on both sides
+FORMAT_EDGES = [1e-4, 9.999999999999999e-05, 9999999999999998.0, 1e16, 5e-324,
+                2.0**53, 0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+def reprs(col: np.ndarray) -> list[str]:
+    return [repr(x) for x in col.tolist()]
+
+
+class TestFloatFields:
+    """The native float formatter writes exactly what ``repr`` writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(width=64), max_size=20))
+    def test_equals_repr_on_every_float64(self, values):
+        col = np.array(values, dtype=float)
+        assert harness._float_fields(col) == reprs(col)
+
+    def test_edges_of_both_exponent_styles(self):
+        col = np.array(FORMAT_EDGES + [-x for x in FORMAT_EDGES])
+        assert harness._float_fields(col) == reprs(col)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20180618)
+        bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64)
+        # half of them get an exponent near the range orjson's text is kept for,
+        # 2**-20 to 2**60, so both bounds are crossed often
+        near = rng.integers(1023 - 20, 1023 + 60, size=100_000, dtype=np.uint64)
+        bits[:100_000] = (bits[:100_000] & ~np.uint64(0x7FF << 52)) | (near << np.uint64(52))
+        col = bits.view(np.float64)
+        assert harness._float_fields(col) == reprs(col)
+
+    def test_an_empty_column_gives_no_fields_and_no_rows(self, tmp_path):
+        samples = run(sc.find("Merge 0").replace(horizon_s=3.0, warmup_s=1.0)).samples
+        assert samples.positions[0].size == 0  # the open network starts empty
+        assert harness._float_fields(samples.positions[0]) == []
+        cols = TrajectorySamples()
+        for t, ids in ((0.0, []), (0.1, ["a", "b"]), (0.2, [])):
+            cols.append(t, ids, [1.5] * len(ids), [2.5] * len(ids))
+        for run_samples in (samples, cols):
+            path = harness._export_trajectories(run_samples, tmp_path)
+            with open(path, "rb") as fh:
+                assert fh.read() == reference_trajectories_csv(run_samples)
+        assert len(import_trajectories(path)) == 2
 
 
 def relabelled(samples: TrajectorySamples, names: dict) -> TrajectorySamples:

@@ -1,6 +1,8 @@
 """Transport retries, planner extraction, transcript logging, replay."""
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -151,6 +153,17 @@ class TestComplete:
         elapsed = time.perf_counter() - t0
         budget = cfg.timeout_s * (cfg.max_retries + 1) + 0.01 * (1 + 2) * 1.5
         assert elapsed < budget + 0.5  # scheduling slack
+
+
+def test_importing_the_package_leaves_requests_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(llm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, comal.harness, comal.cli; print('requests' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestValidation:
