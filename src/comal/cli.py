@@ -64,7 +64,10 @@ def _parse_rates(ctx, param, text: str | None) -> list[float] | None:
 def _resolve_config(name, config_path, seed, no_collab, no_memory, no_perception):
     cfg = sc.find(name)
     if config_path:
-        cfg = sc.apply_overrides(cfg, sc.load_overrides(config_path))
+        try:
+            cfg = sc.apply_overrides(cfg, sc.load_overrides(config_path))
+        except ValueError as exc:  # unknown keys, bad JSON, out-of-range values
+            raise click.BadParameter(str(exc), param_hint="'--config'") from None
     return cfg.replace(seed=seed,
                        collaboration=cfg.collaboration and not no_collab,
                        memory=cfg.memory and not no_memory,

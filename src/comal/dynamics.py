@@ -2,8 +2,9 @@
 
 The world steps with explicit Euler at a fixed dt. Human vehicles get
 additive Gaussian acceleration noise from per-vehicle seeded streams, drawn
-ahead in blocks per vehicle and added as one array per step; the values are
-those of one ``NoiseModel.sample`` call per vehicle per step, bit for bit.
+ahead in blocks of 256 per vehicle and added as one array per step; the
+values are those of one ``NoiseModel.sample`` call per vehicle per step, bit
+for bit.
 Controlled vehicles are noise-free. A kinematic failsafe caps every speed
 update so a vehicle can always stop behind its leader at the emergency
 deceleration bound, and any non-positive bumper gap aborts the run.
@@ -42,7 +43,7 @@ DEFAULT_B_MAX = 4.5  # m/s^2, emergency braking bound for the failsafe
 DEFAULT_NOISE_STD = 0.2  # m/s^2, human acceleration noise
 DEFAULT_VEHICLE_LENGTH = 5.0  # m
 
-_NOISE_BLOCK = 64  # standard-normal draws taken from a vehicle's stream at once
+_NOISE_BLOCK = 256  # standard-normal draws taken from a vehicle's stream at once
 _PARAM_KEYS = ("v0", "T", "a_max", "b", "delta", "s0")
 # Every per-vehicle numpy column of a World: name -> (dtype, trailing shape).
 # ``World._p`` holds the IDM parameter columns; the rest are its attributes.
@@ -52,6 +53,7 @@ _COLUMNS: dict[str, tuple[type, tuple[int, ...]]] = {
     "length": (np.float64, ()),
     "_route_len": (np.float64, ()),
     "_cyclic": (np.bool_, ()),
+    "_route_code": (np.intp, ()),  # the route's position in ``network.routes``
     "lead_idx": (np.intp, ()),  # the leader's row, -1 for none
     "gap": (np.float64, ()),  # bumper gap to the leader, inf for none
     "_noise_std": (np.float64, ()),
@@ -333,7 +335,9 @@ class World:
             raise ValueError(f"duplicate vehicle id {state.id!r}")
         route = self.network.route(state.route_id)
         row = dict(arc=route.arc_of(state.position), speed=state.speed, length=state.length,
-                   _route_len=route.length, _cyclic=route.cyclic, lead_idx=-1, gap=np.inf,
+                   _route_len=route.length, _cyclic=route.cyclic,
+                   _route_code=list(self.network.routes).index(route.id),
+                   lead_idx=-1, gap=np.inf,
                    _noise_std=noise_std, _noise_block=0.0,
                    _noise_pos=_NOISE_BLOCK if noise_std > 0 else 0, **vars(state.active_params))
         i = self.size
@@ -394,23 +398,31 @@ class World:
         self.gap[:] = gap
 
     def route_index(self) -> RouteIndex:
-        """Sort the vehicles present on each route by their arc along it."""
+        """Sort the vehicles present on each route by their arc along it.
+
+        Each route's vehicles are projected as one group, by one
+        ``network.project_onto_route`` call. Candidates stay in index order,
+        so the stable sort breaks ties by index.
+        """
         n = self.size
-        positions = list(zip(self.route_ids, self.arc.tolist(), self.length.tolist()))
+        net = self.network
+        groups = [(rid, rows) for code, rid in enumerate(net.routes)
+                  if (rows := np.flatnonzero(self._route_code == code)).size]
         order, arcs, rank, extent = {}, {}, {}, {}
-        for route in self.network.routes.values():
-            idxs, proj, ext = [], [], []
-            for j, (rid, arc, length) in enumerate(positions):
-                a = net_mod.project_onto_route(self.network, route, rid, arc)
-                if a is not None:
-                    idxs.append(j)
-                    proj.append(a)
-                    ext.append(length if rid == route.id else
-                               net_mod.visible_extent(self.network, route, rid, arc, length))
-            by_arc = np.argsort(np.asarray(proj, dtype=float), kind="stable")
-            order[route.id] = np.asarray(idxs, dtype=np.intp)[by_arc]
-            arcs[route.id] = np.asarray(proj, dtype=float)[by_arc]
-            extent[route.id] = np.asarray(ext, dtype=float)[by_arc]
+        for code, route in enumerate(net.routes.values()):
+            proj = np.full(n, np.nan)  # NaN: not on the route
+            for rid, rows in groups:
+                proj[rows] = net_mod.project_onto_route(net, route, rid, self.arc[rows])
+            idxs = np.flatnonzero(~np.isnan(proj))
+            proj, ext = proj[idxs], self.length[idxs]
+            for k in np.flatnonzero(self._route_code[idxs] != code).tolist():
+                j = int(idxs[k])  # projected from another route: its part on this one
+                ext[k] = net_mod.visible_extent(net, route, self.route_ids[j],
+                                                float(self.arc[j]), float(self.length[j]))
+            by_arc = np.argsort(proj, kind="stable")
+            order[route.id] = idxs[by_arc]
+            arcs[route.id] = proj[by_arc]
+            extent[route.id] = ext[by_arc]
             rank[route.id] = np.full(n, -1, dtype=np.intp)
             rank[route.id][order[route.id]] = np.arange(len(idxs))
         return RouteIndex(order, arcs, rank, extent)
@@ -426,10 +438,9 @@ class World:
         self.lead_idx[:] = -1
         self.gap[:] = np.inf
         index = index or self.route_index()
-        route_of = np.array(self.route_ids, dtype=str)
-        for route in self.network.routes.values():
+        for code, route in enumerate(self.network.routes.values()):
             order = index.order[route.id]
-            k = np.flatnonzero(route_of[order] == route.id)  # the route's own vehicles
+            k = np.flatnonzero(self._route_code[order] == code)  # the route's own vehicles
             if not route.cyclic:
                 k = k[k < len(order) - 1]  # the front of an open route: nothing ahead
             pos, d = index.ahead(route, k, 1)

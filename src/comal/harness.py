@@ -339,9 +339,15 @@ def _float_fields(col: np.ndarray) -> list[str]:
 
 
 def _write_rows(fh, cols: TrajectorySamples, lo: int, hi: int) -> None:
-    """Write the CSV rows of steps ``lo`` to ``hi`` (excluded), one step at a time."""
+    """Write the CSV rows of steps ``lo`` to ``hi`` (excluded), one step at a time.
+
+    A population's rows are one template list, six strings per vehicle
+    (time, ``,id,``, position, ``,``, speed, ``\\r\\n``), made again only when
+    the step's id list changes. Each step fills in its time and floats, then
+    joins the list in one write.
+    """
     field: dict[str, str] = {}  # vehicle id -> its CSV field
-    ids = id_fields = None
+    ids = row = None
     for time, step_ids, pos, speed in zip(cols.times[lo:hi], cols.ids[lo:hi],
                                            cols.positions[lo:hi], cols.speeds[lo:hi]):
         if step_ids is not ids:
@@ -349,10 +355,14 @@ def _write_rows(fh, cols: TrajectorySamples, lo: int, hi: int) -> None:
             for v in ids:
                 if v not in field:
                     field[v] = _csv_field(v)
-            id_fields = [field[v] for v in ids]
-        t = repr(time)
-        fh.write("".join([f"{t},{f},{x},{v}\r\n" for f, x, v
-                          in zip(id_fields, _float_fields(pos), _float_fields(speed))]))
+            row = [None, None, None, ",", None, "\r\n"] * len(ids)
+            row[1::6] = [f",{field[v]}," for v in ids]
+        n = len(ids)
+        fields = _float_fields(np.concatenate((pos, speed)))
+        row[0::6] = [repr(time)] * n
+        row[2::6] = fields[:n]
+        row[4::6] = fields[n:]
+        fh.write("".join(row))
 
 
 def _format_part(path: str, cols: TrajectorySamples, lo: int, hi: int) -> None:

@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -231,19 +233,30 @@ def forward_gap(route: Route, from_arc: float, to_arc: float, self_distance: boo
 
 
 def project_onto_route(network: NetworkSpec, route: Route, other_route_id: str,
-                       other_arc: float) -> float | None:
+                       other_arc: float | np.ndarray) -> float | np.ndarray | None:
     """Arc of a position from another route as seen on ``route``.
 
     Returns ``None`` when the position's edge is not part of ``route``
     (vehicles on a converging edge are invisible until the shared segment).
+    ``other_arc`` may be an array of arcs on the one other route: the result
+    is then an array, NaN where a position is off ``route``, each element
+    what the scalar call gives for it.
     """
     if other_route_id == route.id:
         return other_arc
+    if isinstance(other_arc, np.ndarray):
+        return np.array([_project(network, route, other_route_id, a)
+                         for a in other_arc.tolist()], dtype=float)
+    arc = _project(network, route, other_route_id, other_arc)
+    return None if math.isnan(arc) else arc
+
+
+def _project(network: NetworkSpec, route: Route, other_route_id: str,
+             other_arc: float) -> float:
+    """:func:`project_onto_route` of one arc from another route, NaN for none."""
     lane = network.arc_to_lane(other_route_id, other_arc)
     start = route.edge_starts.get(lane.edge_id)
-    if start is None:
-        return None
-    return start + lane.offset
+    return math.nan if start is None else start + lane.offset
 
 
 def visible_extent(network: NetworkSpec, ego_route: Route, leader_route_id: str,

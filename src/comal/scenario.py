@@ -63,6 +63,15 @@ class ScenarioConfig:
             raise ValueError("penetration must lie in [0, 1]")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
+        if self.noise_std < 0:
+            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not self.replan_interval_s > 0:
+            raise ValueError(f"replan_interval_s must be > 0, got {self.replan_interval_s}")
+        if self.collab_max_rounds < 1:
+            raise ValueError(f"collab_max_rounds must be >= 1, got {self.collab_max_rounds}")
+        if self.perception_horizon_m < 0:
+            raise ValueError(
+                f"perception_horizon_m must be >= 0, got {self.perception_horizon_m}")
         if self.cav_placement not in ("even", "clustered"):
             raise ValueError(f"unknown cav_placement {self.cav_placement!r}")
 

@@ -105,6 +105,48 @@ def reference_links(world, index):
     return lead_idx, gap
 
 
+def reference_route_index(world):
+    """``World.route_index`` built one vehicle at a time.
+
+    Every vehicle is projected onto every route with a scalar
+    ``network.project_onto_route`` call; those that land are sorted by arc,
+    ties in index order, and given their length on their own route and
+    ``network.visible_extent`` on another. This is the per-vehicle loop the
+    grouped index must reproduce bit for bit.
+    """
+    n = world.size
+    positions = list(zip(world.route_ids, world.arc.tolist(), world.length.tolist()))
+    order, arcs, rank, extent = {}, {}, {}, {}
+    for route in world.network.routes.values():
+        idxs, proj, ext = [], [], []
+        for j, (rid, arc, length) in enumerate(positions):
+            a = net.project_onto_route(world.network, route, rid, arc)
+            if a is not None:
+                idxs.append(j)
+                proj.append(a)
+                ext.append(length if rid == route.id else
+                           net.visible_extent(world.network, route, rid, arc, length))
+        by_arc = np.argsort(np.asarray(proj, dtype=float), kind="stable")
+        order[route.id] = np.asarray(idxs, dtype=np.intp)[by_arc]
+        arcs[route.id] = np.asarray(proj, dtype=float)[by_arc]
+        extent[route.id] = np.asarray(ext, dtype=float)[by_arc]
+        rank[route.id] = np.full(n, -1, dtype=np.intp)
+        rank[route.id][order[route.id]] = np.arange(len(idxs))
+    return dyn.RouteIndex(order, arcs, rank, extent)
+
+
+def assert_index_matches_reference(world):
+    """``world.route_index()`` equals :func:`reference_route_index`, every
+    array of every route bit for bit."""
+    got, want = world.route_index(), reference_route_index(world)
+    for name in ("order", "arcs", "rank", "extent"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert list(a) == list(b), name
+        for rid in b:
+            assert (a[rid].dtype, a[rid].tobytes()) == (b[rid].dtype, b[rid].tobytes()), (
+                name, rid)
+
+
 def signed_dist_to(world, i, route_id, cp_arc):
     """Signed forward distance from vehicle i's front to an arc on a route.
 

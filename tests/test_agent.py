@@ -18,8 +18,8 @@ from comal.agent import (Experience, MemoryStore, Message, MessagePool,
                          reason, recall, scripted_backend_policy)
 from comal.llm_client import ChatTurn
 
-from helpers import (PROPERTY_NETWORKS, perception_worlds, reference_parse_scene_text,
-                     uniform_ring_world)
+from helpers import (PROPERTY_NETWORKS, assert_index_matches_reference, perception_worlds,
+                     reference_parse_scene_text, uniform_ring_world)
 
 
 def make_scene(**kw):
@@ -161,25 +161,12 @@ class TestIndexedPerception:
     def test_matches_brute_force_scan(self, w, horizons):
         assert_indexed_matches_reference(w, horizons)
 
-    @settings(max_examples=100, deadline=None)
-    @given(perception_worlds())
+    @settings(max_examples=200, deadline=None)
+    @given(perception_worlds(min_vehicles=0))
     def test_route_index_matches_projecting_every_vehicle(self, w):
-        index = w.route_index()
-        for route in w.network.routes.values():
-            idxs, arcs = [], []
-            for j in range(w.size):
-                a = net.project_onto_route(w.network, route, w.route_ids[j],
-                                           float(w.arc[j]))
-                if a is not None:
-                    idxs.append(j)
-                    arcs.append(a)
-            by_arc = np.argsort(np.asarray(arcs, dtype=float), kind="stable")
-            expected = np.asarray(idxs, dtype=np.intp)[by_arc]
-            assert index.order[route.id].tolist() == expected.tolist()
-            assert index.arcs[route.id].tolist() == np.asarray(arcs)[by_arc].tolist()
-            ranks = index.rank[route.id]
-            assert [int(ranks[j]) for j in expected] == list(range(len(expected)))
-            assert int((ranks >= 0).sum()) == len(expected)
+        # order, arcs, rank and extent, bit for bit, against one scalar
+        # projection per vehicle and route
+        assert_index_matches_reference(w)
 
     def test_lone_vehicle_leads_itself_around_the_loop(self):
         network = PROPERTY_NETWORKS["figure_eight"]

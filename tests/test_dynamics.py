@@ -14,8 +14,8 @@ from comal import network as net
 from comal import scenario as sc
 from comal.agent import perceive
 
-from helpers import (PROPERTY_NETWORKS, perception_worlds, reference_links, signed_dist_to,
-                     uniform_ring_world)
+from helpers import (PROPERTY_NETWORKS, assert_index_matches_reference, perception_worlds,
+                     reference_links, signed_dist_to, uniform_ring_world)
 
 P = dyn.IdmParams(v0=30.0, T=1.0, a_max=1.0, b=1.5, delta=4.0, s0=2.0)
 
@@ -406,6 +406,27 @@ def assert_links_match_reference(w):
     assert w.gap.tobytes() == gap.tobytes()
 
 
+class TestGroupedRouteIndex:
+    """Each route's vehicles are projected as one group, with the bits of
+    projecting them one at a time (the property is in test_agent)."""
+
+    def test_ties_across_routes_keep_index_order(self):
+        w = dyn.World(PROPERTY_NETWORKS["merge"], seed=0)
+        add_at(w, "ramp_first", "ramp", 150.0)  # on the shared edge: 450 m on the highway
+        add_at(w, "highway_tied", "highway", 450.0)
+        add_at(w, "ramp_tied", "ramp", 150.0)
+        assert_index_matches_reference(w)
+        assert w.route_index().order["highway"].tolist() == [0, 1, 2]
+
+    def test_steps_of_a_merge(self):
+        w = merge_world(seed=4, noise_std=0.2)
+        for k in range(400):
+            dyn.step(w, 0.1)
+            if k % 20 == 0:
+                assert_index_matches_reference(w)
+        assert w.removed_count > 0
+
+
 class TestLinksFromTheIndex:
     @settings(max_examples=200, deadline=None)
     @given(perception_worlds(min_vehicles=0))
@@ -461,10 +482,11 @@ def step_checking_noise(w, dts):
     The reference is a copy of each vehicle's noise stream taken when the
     vehicle is added, drawn with one ``NoiseModel.sample(dt)`` per vehicle
     per step. Returns (spawns while another noisy vehicle was part-way
-    through its block, vehicles removed).
+    through its block, vehicles removed, block refills after a vehicle's first).
     """
     refs = {vid: copy.deepcopy(nm) for vid, nm in zip(w.ids, w.noise)}
-    seen = {"mid_block_spawns": 0, "draws": []}
+    seen = {"mid_block_spawns": 0, "draws": [], "refills": 0}
+    filled = set()  # vehicles that have drawn their first block
     add_vehicle, draw = w.add_vehicle, w._noise
 
     def add_and_copy_stream(state, noise_std):
@@ -474,6 +496,9 @@ def step_checking_noise(w, dts):
         refs[state.id] = copy.deepcopy(w.noise[-1])
 
     def recorded_draw(dt):
+        for vid in np.asarray(w.ids, dtype=object)[w._noise_pos == dyn._NOISE_BLOCK]:
+            seen["refills"] += vid in filled
+            filled.add(vid)
         out = draw(dt)
         seen["draws"].append((list(w.ids), out))
         return out
@@ -488,7 +513,7 @@ def step_checking_noise(w, dts):
                 assert (want == 0.0).all()
             else:  # same bits, sign of zero included
                 assert out.tobytes() == want.tobytes()
-    return seen["mid_block_spawns"], w.removed_count
+    return seen["mid_block_spawns"], w.removed_count, seen["refills"]
 
 
 class TestBlockNoise:
@@ -508,12 +533,17 @@ class TestBlockNoise:
             w = uniform_ring_world(n=n, length=12.0 * n, noise_std=noise_std,
                                    seed=seed, cav_indices=range(0, n, 4))
         else:
-            w = merge_world(seed, noise_std)
-        step_checking_noise(w, [dt] * int(round(40.0 / dt)))
+            # all human, and long enough that an early arrival is still there
+            # for its second block (a run of CAV arrivals could leave none)
+            w = merge_world(seed, noise_std, pen=0.0, highway=60.0 * dt * dyn._NOISE_BLOCK)
+        # past every first block, whatever dt
+        refills = step_checking_noise(w, [dt] * (2 * dyn._NOISE_BLOCK + 1))[2]
+        if noise_std > 0 and (kind == "merge" or n > 1):  # some vehicle is noisy
+            assert refills > 0
 
     def test_spawns_mid_block_and_removals(self):
         w = merge_world(seed=3, noise_std=0.2)
-        mid_block_spawns, removed = step_checking_noise(w, [0.1] * 600)
+        mid_block_spawns, removed, _ = step_checking_noise(w, [0.1] * 600)
         assert mid_block_spawns > 0 and removed > 0
 
     def test_noise_free_vehicles_add_exact_zero_and_never_draw(self):
@@ -585,6 +615,8 @@ class TestPerVehicleArrays:
             added[state.id] = (state.length, route.length, route.cyclic, noise_std, params)
 
         def assert_rows_kept():
+            codes = [list(w.network.routes).index(rid) for rid in w.route_ids]
+            assert w._route_code.tolist() == codes
             for i, vid in enumerate(w.ids):
                 row = (w.length[i], w._route_len[i], w._cyclic[i], w._noise_std[i],
                        w.params_of(vid))

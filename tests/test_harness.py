@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import tempfile
 import threading
 
 import numpy as np
@@ -298,6 +299,43 @@ class TestFloatFields:
         assert len(import_trajectories(path)) == 2
 
 
+ODD_IDS = ["plain", "with,comma", 'with "quote"', "line\nbreak", "cr\rreturn", "", "b"]
+CSV_FLOATS = st.one_of(st.sampled_from(FORMAT_EDGES + [-x for x in FORMAT_EDGES]),
+                       st.floats(width=64))
+
+
+@st.composite
+def odd_samples(draw) -> TrajectorySamples:
+    """A few steps whose population changes, often to another of the same
+    size, or empties; awkward ids and every kind of float64."""
+    steps = draw(st.integers(1, 6))
+    times = draw(st.lists(st.floats(0.0, 1e3), min_size=steps, max_size=steps,
+                          unique=True))
+    cols, ids = TrajectorySamples(), []
+    for time in times:
+        if draw(st.booleans()):
+            ids = draw(st.lists(st.sampled_from(ODD_IDS), max_size=4, unique=True))
+        values = st.lists(CSV_FLOATS, min_size=len(ids), max_size=len(ids))
+        cols.append(time, ids, draw(values), draw(values))
+    return cols
+
+
+class TestRowAssembly:
+    """Rows joined per step from a per-population template are the bytes of
+    one ``csv.writer`` row per sample."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(odd_samples())
+    def test_equals_the_per_sample_writer(self, cols):
+        with tempfile.TemporaryDirectory() as tmp:
+            for parts in (1, 2):
+                out = os.path.join(tmp, str(parts))
+                os.mkdir(out)
+                path = harness._export_trajectories(cols, out, parts=parts)
+                with open(path, "rb") as fh:
+                    assert fh.read() == reference_trajectories_csv(cols), parts
+
+
 def relabelled(samples: TrajectorySamples, names: dict) -> TrajectorySamples:
     """``samples`` with every vehicle id ``v`` renamed ``names.get(v, v)``."""
     out = TrajectorySamples()
@@ -569,6 +607,17 @@ class TestCli:
         assert out.exit_code == 0, out.output
         assert (tmp_path / "r" / "metrics.json").exists()
         assert (tmp_path / "r" / "trajectories.csv").exists()
+
+    def test_run_rejects_an_out_of_range_override_as_a_usage_error(self, tmp_path):
+        from click.testing import CliRunner
+        from comal.cli import main
+        path = tmp_path / "bad.json"
+        path.write_text('{"replan_interval_s": -1}', encoding="utf-8")
+        out = CliRunner().invoke(main, ["run", "--scenario", "Ring 0", "--config", str(path),
+                                        "--out", str(tmp_path / "r")])
+        assert out.exit_code == 2, out.output
+        assert "Invalid value for '--config'" in out.output and "replan_interval_s" in out.output
+        assert not (tmp_path / "r").exists()
 
     def test_run_refuses_to_replay_the_transcript_it_writes(self, tmp_path):
         from click.testing import CliRunner

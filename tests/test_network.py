@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from comal import dynamics as dyn
 from comal import network as net
 
-from helpers import uniform_ring_world
+from helpers import PROPERTY_NETWORKS, uniform_ring_world
 
 
 def make_vehicle(vid, route_id, network, arc, length=5.0, speed=5.0, kind="human"):
@@ -95,6 +95,47 @@ class TestBuilders:
             "highway_upstream", "ramp", "highway_downstream"}
         assert doc["conflict_points"][0]["points"] == [["highway", 400.0], ["ramp", 100.0]]
         assert "highway" in network.to_json()
+
+
+def probe_arcs(route, rng) -> np.ndarray:
+    """Arcs of ``route``: each edge start and the ulp before it, its end on an
+    open route, and seeded random arcs in between."""
+    starts = list(route.edge_starts.values())
+    arcs = starts + [np.nextafter(s, -np.inf) for s in starts if s > 0]
+    if not route.cyclic:
+        arcs.append(route.length)
+    return np.array(arcs + rng.uniform(0.0, route.length, 40).tolist())
+
+
+class TestArrayProjection:
+    """``project_onto_route`` on an array of arcs is the scalar call per arc."""
+
+    @pytest.mark.parametrize("kind", sorted(PROPERTY_NETWORKS))
+    def test_equals_the_scalar_form_for_every_route_pair(self, kind):
+        network = PROPERTY_NETWORKS[kind]
+        rng = np.random.default_rng(7)
+        for source in network.routes.values():
+            arcs = probe_arcs(source, rng)
+            for route in network.routes.values():
+                got = net.project_onto_route(network, route, source.id, arcs)
+                want = [net.project_onto_route(network, route, source.id, a)
+                        for a in arcs.tolist()]
+                assert got.dtype == np.float64 and got.shape == arcs.shape
+                assert [None if math.isnan(g) else g.hex() for g in got.tolist()] == [
+                    None if w is None else float(w).hex() for w in want]
+
+    def test_the_merge_sees_a_ramp_arc_only_past_the_junction(self):
+        network = PROPERTY_NETWORKS["merge"]
+        got = net.project_onto_route(network, network.route("highway"), "ramp",
+                                     np.array([0.0, 99.5, 100.0, 150.0, 300.0]))
+        assert np.isnan(got[:2]).all() and got[2:].tolist() == [400.0, 450.0, 600.0]
+
+    def test_an_empty_array_gives_an_empty_array(self):
+        network = PROPERTY_NETWORKS["merge"]
+        for rid in network.routes:
+            got = net.project_onto_route(network, network.route("highway"), rid,
+                                         np.array([]))
+            assert got.shape == (0,) and got.dtype == np.float64
 
 
 class TestArcDistance:

@@ -61,6 +61,23 @@ class TestCatalog:
         with pytest.raises(ValueError):
             sc.ScenarioConfig(name="x", topology="merge", horizon_s=75.0, penetration=1.5)
 
+    # each of these used to pass: a negative replan interval replanned every
+    # step, a negative horizon emptied every neighbor list, zero rounds failed
+    # only after warmup, and a negative noise failed at a merge's first spawn
+    @pytest.mark.parametrize("key, value", [
+        ("replan_interval_s", 0.0), ("replan_interval_s", -1.0),
+        ("perception_horizon_m", -0.5), ("collab_max_rounds", 0),
+        ("noise_std", -0.1)])
+    def test_rejects_values_that_misbehave_later(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            sc.apply_overrides(sc.find("Ring 0"), {key: value})
+
+    def test_keeps_the_boundary_values(self):
+        cfg = sc.apply_overrides(sc.find("Merge 0"), {
+            "perception_horizon_m": 0.0, "collab_max_rounds": 1, "noise_std": 0.0,
+            "replan_interval_s": 0.05})
+        assert cfg.perception_horizon_m == 0.0 and cfg.noise_std == 0.0
+
 
 class TestInstantiate:
     def test_ring0_uniform_equilibrium(self):
