@@ -15,11 +15,10 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import os
 import pathlib
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from typing import Protocol
 
@@ -54,6 +53,17 @@ def _template(name: str) -> str:
     return ref.read_text(encoding="utf-8")
 
 
+def _memoized(build):
+    """``build`` memoized on its positional arguments, keyed by type and value.
+
+    The key is typed, so an int never stands in for a float. A call with a
+    zero argument is built afresh: ``-0.0 == 0.0`` as a key, yet the two
+    are different values.
+    """
+    cached = functools.lru_cache(maxsize=1024, typed=True)(build)
+    return lambda *args: cached(*args) if all(args) else build(*args)
+
+
 @dataclass(frozen=True)
 class SceneDescription:
     """Deterministic textual rendering of the world around one vehicle.
@@ -79,11 +89,8 @@ class SceneDescription:
 
     @property
     def map_text(self) -> str:
-        shape = "(cyclic)" if self.cyclic else "open"
-        return (f"[MAP] scenario={self.scenario_tag}; "
-                f"route_length={self.route_length:.2f} m {shape}; "
-                f"speed_limit={self.speed_limit:.2f} m/s; "
-                f"intersections={self.intersections}")
+        return _map_line(self.scenario_tag, self.route_length, self.cyclic,
+                         self.speed_limit, self.intersections)
 
     @property
     def ego_text(self) -> str:
@@ -94,19 +101,53 @@ class SceneDescription:
 
     @property
     def neighbors_text(self) -> str:
-        if not self.neighbors:
-            return "[NEIGHBORS] none"
-        parts = [f"{vid}:{kind} gap={gap:.2f} m speed={speed:.2f} m/s"
-                 for vid, kind, gap, speed in self.neighbors]
-        return "[NEIGHBORS] " + "; ".join(parts)
+        return _neighbors_line(*self._near())
 
     @functools.cached_property
     def text(self) -> str:
-        """The whole rendering, built on first use and kept with the scene."""
-        return "\n".join((self.map_text, self.ego_text, self.neighbors_text))
+        """The whole rendering, built on first use and kept with the scene.
+
+        :func:`perceive_all` fills it in as it perceives the scene."""
+        return _render(self.map_text, self.ego_text, *self._near())
+
+    def _near(self):
+        """The neighbors as :func:`_neighbors_line` reads them, with fresh
+        tables keyed by their place in ``neighbors``."""
+        nb = self.neighbors
+        near = [(gap, vid, k) for k, (vid, _, gap, _) in enumerate(nb)]
+        return (near, *_row_tables([n[0] for n in nb], [n[1] for n in nb],
+                                   [n[3] for n in nb], range(len(nb))))
 
 
-_BY_GAP_THEN_ID = operator.itemgetter(2, 0)  # the order neighbors are listed in
+def _row_tables(ids, kinds, speeds, rows) -> tuple[dict, dict]:
+    """The head (``id:kind gap=``) and tail (`` m speed=… m/s``) of the
+    neighbor entry of each of ``rows``, which index ``ids``, ``kinds`` and
+    ``speeds``.
+
+    Keyed by row, never by speed: ``-0.0 == 0.0``, yet they render apart."""
+    return ({j: f"{ids[j]}:{kinds[j]} gap=" for j in rows},
+            {j: f" m speed={speeds[j]:.2f} m/s" for j in rows})
+
+
+def _map_line(tag, route_length, cyclic, speed_limit, intersections) -> str:
+    shape = "(cyclic)" if cyclic else "open"
+    return (f"[MAP] scenario={tag}; route_length={route_length:.2f} m {shape}; "
+            f"speed_limit={speed_limit:.2f} m/s; intersections={intersections}")
+
+
+def _neighbors_line(near, head, tail) -> str:
+    """``near`` holds (gap, id, row) in listing order; ``head`` and ``tail``
+    are :func:`_row_tables`, so an entry costs one ``:.2f`` and a join."""
+    if not near:
+        return "[NEIGHBORS] none"
+    return "[NEIGHBORS] " + "; ".join([f"{head[j]}{gap:.2f}{tail[j]}" for gap, _, j in near])
+
+
+def _render(map_line: str, ego_line: str, near, head, tail) -> str:
+    """The v1 scene text: the one renderer of every scene."""
+    return f"{map_line}\n{ego_line}\n{_neighbors_line(near, head, tail)}"
+
+
 _NO_VEHICLE = np.iinfo(np.intp).max  # above every vehicle index
 
 
@@ -127,6 +168,9 @@ def perceive_all(world, ego_ids, horizon: float, index=None) -> list[SceneDescri
     ``index`` is the world's current ``route_index()``, built when omitted.
     The egos of one route are perceived together, in one pass of numpy over
     their windows of the route's sorted order (see ``_perceive_route``).
+    Each scene's text is rendered in the same pass, from the ``[MAP]`` line
+    built once per route and from tables built once per pass, keyed by
+    vehicle row, of every listed neighbor's entry (see :func:`_row_tables`).
     """
     egos = []
     for vid in ego_ids:
@@ -138,17 +182,25 @@ def perceive_all(world, ego_ids, horizon: float, index=None) -> list[SceneDescri
     by_route: dict[str, list[int]] = {}
     for q, i in enumerate(egos):
         by_route.setdefault(world.route_ids[i], []).append(q)
-    scenes = [None] * len(egos)
+    speed = world.speed.tolist()
+    found = [None] * len(egos)  # (scene, its route's [MAP] line, its neighbors as listed)
     for route_id, members in by_route.items():
-        found = _perceive_route(world, index, route_id, [egos[q] for q in members], horizon)
-        for q, scene in zip(members, found):
-            scenes[q] = scene
-    return scenes
+        for q, item in zip(members, _perceive_route(
+                world, index, route_id, [egos[q] for q in members], horizon, speed)):
+            found[q] = item
+    # the pass's tables, over every row listed as someone's neighbor
+    head, tail = _row_tables(world.ids, world.kinds, speed,
+                             {j for _, _, near in found for _, _, j in near})
+    for scene, map_line, near in found:  # fill in each text's cached_property
+        vars(scene)["text"] = _render(map_line, scene.ego_text, near, head, tail)
+    return [scene for scene, _, _ in found]
 
 
-def _perceive_route(world, index, route_id: str, egos: list[int],
-                    horizon: float) -> list[SceneDescription]:
-    """Scenes of the egos on one route, whose sorted order is ``index``'s.
+def _perceive_route(world, index, route_id: str, egos: list[int], horizon: float,
+                    speed: list[float]) -> list[tuple[SceneDescription, str, list]]:
+    """Scenes of the egos on one route, whose sorted order is ``index``'s,
+    each with the route's ``[MAP]`` line and its neighbors as
+    :func:`_neighbors_line` lists them; ``speed`` is ``world.speed`` as a list.
 
     Each ego's candidates are a contiguous slice of the route order after
     it, wrapped on a loop so that a full lap ends on the ego itself. Forward
@@ -178,7 +230,7 @@ def _perceive_route(world, index, route_id: str, egos: list[int],
     if route.cyclic:  # arcs lie in [0, length): the wrapped part starts at 0
         span += np.minimum(np.searchsorted(arcs, reach - length, side="right"), k + 1)
         whole = np.full(len(ego), m)
-    ids, kinds, speed = world.ids, world.kinds, world.speed.tolist()
+    ids, kinds = world.ids, world.kinds
     extent = index.extent[route_id]
 
     def walk(rows, span):
@@ -198,11 +250,9 @@ def _perceive_route(world, index, route_id: str, egos: list[int],
         rr, cc = np.nonzero(ahead & (pos != k[rows, None]) & (gap > 0.0) & (gap <= horizon))
         nj = j[rr, cc]
         cuts = np.searchsorted(rr, np.arange(len(rows) + 1)).tolist()
-        rows_nb = [(ids[x], kinds[x], g, speed[x])
-                   for x, g in zip(nj.tolist(), gap[rr, cc].tolist())]
-        neighbors = [tuple(sorted(rows_nb[a:b], key=_BY_GAP_THEN_ID))
-                     for a, b in zip(cuts, cuts[1:])]
-        return nearest, list(zip(lead_j.tolist(), headway.tolist(), neighbors))
+        keyed = [(g, ids[x], x) for x, g in zip(nj.tolist(), gap[rr, cc].tolist())]
+        near = [sorted(keyed[a:b]) for a, b in zip(cuts, cuts[1:])]  # by gap, then id
+        return nearest, list(zip(lead_j.tolist(), headway.tolist(), near))
 
     nearest, found = walk(np.arange(len(ego)), span)
     far = np.flatnonzero(~(nearest <= limit) & (span < whole))
@@ -211,17 +261,20 @@ def _perceive_route(world, index, route_id: str, egos: list[int],
             found[r] = again
     tag, speed_limit = network.kind, network.speed_limit
     intersections = len(network.conflict_points)
+    map_line = _map_line(tag, length, route.cyclic, speed_limit, intersections)
     scenes = []
-    for i, arc, (lead_j, headway, neighbors) in zip(egos, ego_arc.tolist(), found):
+    for i, arc, (lead_j, headway, near) in zip(egos, ego_arc.tolist(), found):
         if lead_j < 0:
             leader_id, headway, leader_speed = None, math.inf, 0.0
         else:
             leader_id, leader_speed = ids[lead_j], speed[lead_j]
-        scenes.append(SceneDescription(
+        scene = SceneDescription(
             scenario_tag=tag, ego_id=ids[i], ego_speed=speed[i], headway=headway,
             leader_id=leader_id, leader_speed=leader_speed, speed_limit=speed_limit,
             route_length=length, cyclic=route.cyclic, intersections=intersections,
-            position_arc=arc, neighbors=neighbors))
+            position_arc=arc,
+            neighbors=tuple([(vid, kinds[j], g, speed[j]) for g, vid, j in near]))
+        scenes.append((scene, map_line, near))
     return scenes
 
 
@@ -246,20 +299,19 @@ def parse_scene_text(text: str) -> SceneDescription | None:
     the same bytes a remote model would read. Returns None when the text
     carries no scene.
     """
+    scene = _parse_header(text)
+    if scene is None:
+        return None
+    return replace(scene, neighbors=_parse_neighbors(text))
+
+
+def _parse_header(text: str) -> SceneDescription | None:
+    """The scene of the text's ``[MAP]`` and ``[EGO]`` lines, with no
+    neighbors; None when either is missing."""
     m_map = _MAP_RE.search(text)
     m_ego = _EGO_RE.search(text)
     if not m_map or not m_ego:
         return None
-    neighbors = []
-    # every line that starts with the tag, found without splitting the whole text
-    at = text.find(_NEIGHBORS_TAG)
-    while at >= 0:
-        nl = text.find("\n", at)
-        rest = text[at:nl if nl >= 0 else None].splitlines()[0]  # to the line's end
-        if at == 0 or text[at - 1] in _LINE_BREAKS:
-            neighbors += [(vid, kind, float(gap), float(speed))
-                          for vid, kind, gap, speed in _NEIGHBOR_RE.findall(rest)]
-        at = text.find(_NEIGHBORS_TAG, at + len(rest))
     tag, route_length, shape, limit, nx = m_map.group("tag", "len", "shape", "limit", "nx")
     ego_id, speed, headway, leader, leader_speed = m_ego.group(
         "id", "speed", "headway", "leader", "lspeed")
@@ -275,8 +327,23 @@ def parse_scene_text(text: str) -> SceneDescription | None:
         cyclic=shape == "(cyclic)",
         intersections=int(nx),
         position_arc=0.0,
-        neighbors=tuple(neighbors),
+        neighbors=(),
     )
+
+
+def _parse_neighbors(text: str) -> tuple[tuple[str, str, float, float], ...]:
+    """The neighbors listed on every line of the text that starts with ``[NEIGHBORS]``."""
+    neighbors = []
+    # every line that starts with the tag, found without splitting the whole text
+    at = text.find(_NEIGHBORS_TAG)
+    while at >= 0:
+        nl = text.find("\n", at)
+        rest = text[at:nl if nl >= 0 else None].splitlines()[0]  # to the line's end
+        if at == 0 or text[at - 1] in _LINE_BREAKS:
+            neighbors += [(vid, kind, float(gap), float(speed))
+                          for vid, kind, gap, speed in _NEIGHBOR_RE.findall(rest)]
+        at = text.find(_NEIGHBORS_TAG, at + len(rest))
+    return tuple(neighbors)
 
 
 # -- memory ------------------------------------------------------------------
@@ -398,9 +465,14 @@ class PlannerSpec:
     @staticmethod
     def clamped(v0: float, a_max: float, s0: float, speed_limit: float) -> "PlannerSpec":
         """Force arbitrary numbers into the legal planner box."""
-        return PlannerSpec(v0=_box(v0, 0.1, speed_limit),
-                           a_max=_box(a_max, 0.1, 3.0),
-                           s0=_box(s0, 0.5, 10.0))
+        return _clamped(v0, a_max, s0, speed_limit)
+
+
+@_memoized  # replans repeat a few hundred planners
+def _clamped(v0, a_max, s0, speed_limit) -> PlannerSpec:
+    return PlannerSpec(v0=_box(v0, 0.1, speed_limit),
+                       a_max=_box(a_max, 0.1, 3.0),
+                       s0=_box(s0, 0.5, 10.0))
 
 
 def _box(x: float, lo: float, hi: float) -> float:
@@ -527,7 +599,17 @@ def brainstorm(cav_ids, pool: MessagePool, backend: ReasonBackend,
 # -- scripted policy ---------------------------------------------------------
 
 # the human driver model a wave dampener judges congestion by, built once per limit
-_human_params = functools.lru_cache(maxsize=16, typed=True)(dyn.human_params)
+_human_params = _memoized(dyn.human_params)
+
+
+def _congested(scene: SceneDescription | None, limit: float) -> bool:
+    """The wave dampener's congestion rule: a leader ahead that is clearly
+    slower than the ego, or nearer than a human driver would keep at the
+    ego's speed under ``limit``. Reads only the scene's header fields."""
+    if scene is None or scene.leader_id is None or not math.isfinite(scene.headway):
+        return False
+    return (scene.leader_speed < scene.ego_speed - CONGESTION_SPEED_MARGIN
+            or scene.headway < dyn.desired_gap(_human_params(limit), scene.ego_speed, 0.0))
 
 
 def scripted_backend_policy(role: str, scene: SceneDescription | None,
@@ -554,13 +636,8 @@ def scripted_backend_policy(role: str, scene: SceneDescription | None,
         return PlannerSpec.clamped(v0, 1.0, 2.0, limit)
     # wave dampener
     tag = scene.scenario_tag if scene is not None else "ring"
-    free_a = DAMPENER_FREE_A_MAX.get(tag, DAMPENER_FREE_A_MAX_DEFAULT)
-    if scene is None or scene.leader_id is None or not math.isfinite(scene.headway):
-        return PlannerSpec.clamped(limit, free_a, 2.0, limit)
-    params = _human_params(limit)
-    congested = (scene.leader_speed < scene.ego_speed - CONGESTION_SPEED_MARGIN
-                 or scene.headway < dyn.desired_gap(params, scene.ego_speed, 0.0))
-    if not congested:
+    if not _congested(scene, limit):
+        free_a = DAMPENER_FREE_A_MAX.get(tag, DAMPENER_FREE_A_MAX_DEFAULT)
         return PlannerSpec.clamped(limit, free_a, 2.0, limit)
     if scene.neighbors:
         target = sum(n[3] for n in scene.neighbors) / len(scene.neighbors)
@@ -577,7 +654,9 @@ class ScriptedBackend:
     Works purely from the prompt text, exactly like a remote model would:
     it re-parses the rendered scene, publishes status messages carrying its
     route position, and the last speaker of round one gathers everyone's
-    position and publishes the final role assignment.
+    position and publishes the final role assignment. It reads a scene's
+    ``[MAP]`` and ``[EGO]`` lines first, and its ``[NEIGHBORS]`` lines only
+    for the one plan that uses them: a congested wave dampener's.
     """
 
     name = "scripted"
@@ -594,7 +673,7 @@ class ScriptedBackend:
         return self._reason_turn(text, agent_id)
 
     def _collaboration_turn(self, text: str, agent_id: str) -> str:
-        scene = parse_scene_text(text)
+        scene = _parse_header(text)  # the ego's speed and the scenario tag
         m_order = self._ORDER_RE.search(text)
         m_pos = self._POSITION_RE.search(text)
         own_pos = float(m_pos.group(1)) if m_pos else 0.0
@@ -625,7 +704,9 @@ class ScriptedBackend:
     def _reason_turn(self, text: str, agent_id: str) -> str:
         m_role = self._ROLE_RE.search(text)
         role = m_role.group(1) if m_role and m_role.group(1) in ROLES else "wave_dampener"
-        scene = parse_scene_text(text)
+        scene = _parse_header(text)
+        if role == "wave_dampener" and scene is not None and _congested(scene, scene.speed_limit):
+            scene = parse_scene_text(text)  # the one plan that reads the neighbors
         planner = scripted_backend_policy(role, scene)
         if scene is None:
             note = "No scene available; using the role's default plan."
@@ -693,11 +774,12 @@ def reason(role: str, scene: SceneDescription | None, experiences,
     return scripted_backend_policy(role, scene, speed_limit=limit)
 
 
-# parameters are frozen, and most replans install one of a handful of planners
-_idm_params = functools.lru_cache(maxsize=256, typed=True)(dyn.IdmParams)
-
-
 def execute(planner: PlannerSpec) -> dyn.IdmParams:
     """Merge the planner triple with the fixed car-following constants."""
-    return _idm_params(v0=planner.v0, T=dyn.FIXED_T, a_max=planner.a_max, b=dyn.FIXED_B,
-                       delta=dyn.FIXED_DELTA, s0=planner.s0)
+    return _idm_params(planner.v0, planner.a_max, planner.s0)
+
+
+@_memoized  # parameters are frozen, and replans install a few hundred planners
+def _idm_params(v0, a_max, s0) -> dyn.IdmParams:
+    return dyn.IdmParams(v0=v0, T=dyn.FIXED_T, a_max=a_max, b=dyn.FIXED_B,
+                         delta=dyn.FIXED_DELTA, s0=s0)

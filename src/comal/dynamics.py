@@ -315,6 +315,7 @@ class World:
         self.reservations = {cp.id: _Reservation() for cp in network.conflict_points}
         self.inflows: list[_Inflow] = []
         self.removed_count = 0
+        self._gaps_checked = True  # no gap written since the last _check_gaps
 
     # -- construction ------------------------------------------------------
 
@@ -351,6 +352,7 @@ class World:
         self.kinds.append(state.kind)
         self.noise.append(NoiseModel(noise_std, self._seedseq.spawn(1)[0]))
         self._bind()
+        self._gaps_checked = False
 
     def _bind(self) -> None:
         """Rebind every column attribute as a view of its first ``size`` rows."""
@@ -396,6 +398,7 @@ class World:
             raise ValueError(f"set_links needs {self.size} leader indices and gaps")
         self.lead_idx[:] = lead_idx
         self.gap[:] = gap
+        self._gaps_checked = False
 
     def route_index(self) -> RouteIndex:
         """Sort the vehicles present on each route by their arc along it.
@@ -437,6 +440,7 @@ class World:
         """
         self.lead_idx[:] = -1
         self.gap[:] = np.inf
+        self._gaps_checked = False
         index = index or self.route_index()
         for code, route in enumerate(self.network.routes.values()):
             order = index.order[route.id]
@@ -586,6 +590,7 @@ class World:
         linked = (self.lead_idx >= 0) & keep[self.lead_idx]
         self.lead_idx[:] = np.where(linked, np.cumsum(keep)[self.lead_idx] - 1, -1)
         self.gap[~linked] = np.inf
+        self._gaps_checked = False
         self._index = {vid: i for i, vid in enumerate(self.ids)}
 
     def _check_gaps(self) -> None:
@@ -595,6 +600,7 @@ class World:
             j = int(self.lead_idx[i])
             leader = self.ids[j] if j >= 0 else "<none>"
             raise CollisionError(self.time, self.ids[i], leader, float(self.gap[i]))
+        self._gaps_checked = True
 
 
 def step(world: World, dt: float) -> None:
@@ -605,7 +611,9 @@ def step(world: World, dt: float) -> None:
     speed update with failsafe cap, position advance, incremental gap
     update, collision check, sink removal. Links, gating and spawning read
     one route index per step, built again only after a spawn; a ring
-    without conflict points builds none.
+    without conflict points builds none. The gaps are checked before the
+    step too, but only when something wrote them since the last check:
+    ``set_links``, ``rebuild_links``, ``add_vehicle`` or a removal.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -628,7 +636,8 @@ def step(world: World, dt: float) -> None:
     has_lead = lead >= 0
     lead_speed = np.where(has_lead, v[lead], v)
     gap = np.where(has_lead, world.gap, np.inf)
-    world._check_gaps()
+    if not world._gaps_checked:  # links or rows changed since the last check
+        world._check_gaps()
 
     dv = v - lead_speed
     acc = kernels.idm_acceleration(v, dv, gap, **world._p)

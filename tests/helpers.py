@@ -1,13 +1,16 @@
 """Shared builders for tests."""
 import csv
 import io
+import json
 
 import numpy as np
 from hypothesis import strategies as st
 
 from comal import dynamics as dyn
 from comal import network as net
-from comal.agent import _EGO_RE, _MAP_RE, _NEIGHBOR_RE, SceneDescription
+from comal.agent import (_EGO_RE, _MAP_RE, _NEIGHBOR_RE, ROLES, TERMINATOR,
+                         SceneDescription, ScriptedBackend, allocate_roles,
+                         parse_scene_text, scripted_backend_policy)
 
 
 def uniform_ring_world(n=22, length=230.0, speed_limit=30.0, noise_std=0.0,
@@ -220,3 +223,77 @@ def reference_json_candidates(text):
             depth -= 1
             if depth == 0:
                 yield text[start:i + 1]
+
+
+def reference_scene_text(scene):
+    """A scene's v1 text with every field formatted on its own.
+
+    This is the per-field renderer that the table-driven one in ``agent``
+    must reproduce byte for byte, ``-0.0`` rendering as ``-0.00``.
+    """
+    shape = "(cyclic)" if scene.cyclic else "open"
+    map_text = (f"[MAP] scenario={scene.scenario_tag}; "
+                f"route_length={scene.route_length:.2f} m {shape}; "
+                f"speed_limit={scene.speed_limit:.2f} m/s; "
+                f"intersections={scene.intersections}")
+    leader = scene.leader_id if scene.leader_id is not None else "none"
+    ego_text = (f"[EGO] id={scene.ego_id}; speed={scene.ego_speed:.2f} m/s; "
+                f"headway={scene.headway:.2f} m; leader={leader}; "
+                f"leader_speed={scene.leader_speed:.2f} m/s")
+    if not scene.neighbors:
+        neighbors_text = "[NEIGHBORS] none"
+    else:
+        parts = [f"{vid}:{kind} gap={gap:.2f} m speed={speed:.2f} m/s"
+                 for vid, kind, gap, speed in scene.neighbors]
+        neighbors_text = "[NEIGHBORS] " + "; ".join(parts)
+    return "\n".join((map_text, ego_text, neighbors_text))
+
+
+def reference_reason_turn(text, agent_id):
+    """``ScriptedBackend``'s reason reply from a full parse of the scene.
+
+    The backend reads the neighbors only when the policy will; it must give
+    this reply for every text.
+    """
+    m_role = ScriptedBackend._ROLE_RE.search(text)
+    role = m_role.group(1) if m_role and m_role.group(1) in ROLES else "wave_dampener"
+    scene = parse_scene_text(text)
+    planner = scripted_backend_policy(role, scene)
+    if scene is None:
+        note = "No scene available; using the role's default plan."
+    elif scene.leader_id is None:
+        note = "Open road ahead; cruising at the limit."
+    else:
+        note = (f"Leader {scene.leader_id} at {scene.headway:.2f} m doing "
+                f"{scene.leader_speed:.2f} m/s.")
+    v0, a_max, s0 = round(planner.v0, 4), round(planner.a_max, 4), round(planner.s0, 4)
+    doc = f'{{"v0": {v0!r}, "a_max": {a_max!r}, "s0": {s0!r}}}'
+    return f"Role {role}. {note}\n{doc}"
+
+
+def reference_collaboration_turn(text, agent_id):
+    """``ScriptedBackend``'s collaboration reply from a full parse of the scene."""
+    scene = parse_scene_text(text)
+    m_order = ScriptedBackend._ORDER_RE.search(text)
+    m_pos = ScriptedBackend._POSITION_RE.search(text)
+    own_pos = float(m_pos.group(1)) if m_pos else 0.0
+    own_speed = scene.ego_speed if scene is not None else 0.0
+    status = f"status id={agent_id} position={own_pos:.2f} speed={own_speed:.2f}"
+    if m_order and text.count("status id=") + 1 < m_order.group(1).count(",") + 1:
+        return status
+    participants = ([p.strip() for p in m_order.group(1).split(",")]
+                    if m_order else [agent_id])
+    statuses = {vid: (float(pos), float(spd))
+                for vid, pos, spd in ScriptedBackend._STATUS_RE.findall(text)}
+    statuses[agent_id] = (own_pos, own_speed)
+    if len(statuses) < len(participants):
+        return status
+    tag = scene.scenario_tag if scene is not None else "ring"
+    roles = allocate_roles(tag, {v: statuses.get(v, (0.0, 0.0))[0] for v in participants})
+    if tag == "figure_eight":
+        plan = ("We form a single queue: the front vehicle paces the group "
+                "and everyone else holds tight behind it.")
+    else:
+        plan = ("No fixed queue here: each of us smooths the flow around "
+                "itself and soaks up any wave it meets.")
+    return f"{plan}\n{TERMINATOR}\n{json.dumps(roles, sort_keys=True)}"

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from comal import agent
 from comal import dynamics as dyn
+from comal import harness
 from comal import network as net
+from comal import scenario as sc
 from comal.agent import (Experience, MemoryStore, Message, MessagePool,
                          PlannerSpec, RoleAssignment, RunFlags, SceneDescription,
                          ScriptedBackend, brainstorm, execute, fallback_roles,
@@ -19,7 +21,8 @@ from comal.agent import (Experience, MemoryStore, Message, MessagePool,
 from comal.llm_client import ChatTurn
 
 from helpers import (PROPERTY_NETWORKS, assert_index_matches_reference, perception_worlds,
-                     reference_parse_scene_text, uniform_ring_world)
+                     reference_collaboration_turn, reference_parse_scene_text,
+                     reference_reason_turn, reference_scene_text, uniform_ring_world)
 
 
 def make_scene(**kw):
@@ -30,6 +33,26 @@ def make_scene(**kw):
                 neighbors=(("human_01", "human", 20.0, 5.0),))
     base.update(kw)
     return SceneDescription(**base)
+
+
+SPEEDS = st.one_of(st.floats(0.0, 40.0), st.sampled_from([-0.0, 0.0, 5.0]))
+VEHICLE_IDS = st.sampled_from(["cav_00", "cav_01", "human_02", "hw_003", "v.x"])
+
+
+@st.composite
+def scenes(draw):
+    """Scenes with any fields, neighbors sharing speeds, ``-0.0`` among them."""
+    return SceneDescription(
+        scenario_tag=draw(st.sampled_from(["ring", "figure_eight", "merge"])),
+        ego_id=draw(VEHICLE_IDS), ego_speed=draw(SPEEDS),
+        headway=draw(st.one_of(st.floats(0.0, 300.0), st.just(math.inf))),
+        leader_id=draw(st.one_of(st.none(), VEHICLE_IDS)), leader_speed=draw(SPEEDS),
+        speed_limit=draw(st.sampled_from([30.0, 12.5])),
+        route_length=draw(st.floats(50.0, 1000.0)), cyclic=draw(st.booleans()),
+        intersections=draw(st.integers(0, 2)), position_arc=0.0,
+        neighbors=tuple(draw(st.lists(st.tuples(
+            VEHICLE_IDS, st.sampled_from(["human", "cav"]), st.floats(0.0, 300.0), SPEEDS),
+            max_size=4))))
 
 
 class TestPerceive:
@@ -97,6 +120,12 @@ class TestPerceive:
         assert scene.text is scene.text
         assert scene.text == "\n".join((scene.map_text, scene.ego_text,
                                         scene.neighbors_text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenes())
+    def test_any_scene_renders_as_the_per_field_renderer(self, scene):
+        assert scene.text == reference_scene_text(scene)
+        assert scene.text == "\n".join((scene.map_text, scene.ego_text, scene.neighbors_text))
 
     def test_parse_round_trip(self):
         w = self.build_two_vehicle_ring()
@@ -215,6 +244,19 @@ class TestIndexedPerception:
             assert perceive_all(w, w.ids, h, index) == [reference_scene(w, vid, h)
                                                         for vid in w.ids]
 
+    @settings(max_examples=80, deadline=None)
+    @given(perception_worlds(), st.data())
+    def test_one_pass_renders_as_the_per_field_renderer(self, w, data):
+        # speeds set to -0.0, to 0.0 or to one shared value: tables are keyed by row
+        chosen = data.draw(st.lists(st.sampled_from([None, -0.0, 0.0, 4.5, float(w.speed[0])]),
+                                    min_size=w.size, max_size=w.size))
+        for i, speed in enumerate(chosen):
+            if speed is not None:
+                w.speed[i] = speed
+        horizon = data.draw(st.sampled_from([50.0, 700.0]))
+        for scene in perceive_all(w, w.ids, horizon):
+            assert scene.text == reference_scene_text(scene)
+
     def test_one_pass_keeps_the_requested_order(self):
         w = uniform_ring_world(n=9, cav_indices=(0, 4))
         ids = [w.ids[5], w.ids[1], w.ids[5]]
@@ -282,6 +324,63 @@ class TestParseSceneText:
     def test_no_scene(self):
         assert parse_scene_text("[NEIGHBORS] a:b gap=1 m speed=2 m/s") is None
         assert parse_scene_text("") is None
+
+
+ROLE_PIECES = [f"Assigned role: {role}." for role in (*agent.ROLES, "pilot")]
+COLLAB_PIECES = ["Speaking order: cav_00, cav_01, human_02.\n", "Route position: 12.50 m.",
+                 "status id=cav_01 position=3.00 speed=4.00",
+                 "status id=human_02 position=7.25 speed=0.50"]
+
+
+@st.composite
+def scripted_prompts(draw):
+    """A rendered scene's lines among scene, role and status pieces, shuffled."""
+    pieces = reference_scene_text(draw(scenes())).split("\n") + draw(st.lists(
+        st.sampled_from(SCENE_PIECES + ROLE_PIECES + COLLAB_PIECES), max_size=6))
+    return "".join(piece + draw(st.sampled_from(["\n", "\n", "\r\n", " "]))
+                   for piece in draw(st.permutations(pieces)))
+
+
+class _ComparingBackend:
+    """The scripted backend, checked against the full-parse replies on every call."""
+
+    name = "scripted"
+
+    def __init__(self):
+        self.inner = ScriptedBackend()
+        self.kinds = set()  # (role, congested dampener) of the reason turns seen
+
+    def complete(self, turns, *, agent_id, stage):
+        text = "\n".join(t.content for t in turns)
+        reply = self.inner.complete(turns, agent_id=agent_id, stage=stage)
+        if stage == "collaboration":
+            assert reply == reference_collaboration_turn(text, agent_id)
+        else:
+            assert reply == reference_reason_turn(text, agent_id)
+            scene = parse_scene_text(text)
+            role = reply[len("Role "):reply.index(".")]
+            self.kinds.add((role, role == "wave_dampener"
+                            and agent._congested(scene, scene.speed_limit)))
+        return reply
+
+
+class TestScriptedReplies:
+    @settings(max_examples=150, deadline=None)
+    @given(scripted_prompts())
+    def test_header_first_replies_match_the_full_parse(self, text):
+        backend = ScriptedBackend()
+        assert backend._reason_turn(text, "cav_00") == reference_reason_turn(text, "cav_00")
+        assert (backend._collaboration_turn(text, "cav_00")
+                == reference_collaboration_turn(text, "cav_00"))
+
+    def test_real_prompts_match_the_full_parse(self):
+        backend = _ComparingBackend()
+        for name, horizon in (("Ring 2", 30.0), ("FE 2", 15.0), ("Merge 2", 60.0)):
+            cfg = sc.find(name)
+            harness.run(cfg.replace(horizon_s=horizon, warmup_s=min(cfg.warmup_s, horizon / 2)),
+                        backend)
+        assert backend.kinds == {("wave_dampener", True), ("wave_dampener", False),
+                                 ("leader", False), ("follower", False)}
 
 
 class TestTemplates:
@@ -506,6 +605,29 @@ class TestPlannerClamp:
         assert 0.0 < p.v0 <= 30.0
         assert 0.0 < p.a_max <= 3.0
         assert 0.5 <= p.s0 <= 10.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*[st.one_of(
+        st.integers(-3, 40), st.floats(-5.0, 40.0), st.sampled_from([0, 0.0, -0.0, 3, 3.0]),
+        st.floats(allow_nan=True, allow_infinity=True))] * 4), min_size=1, max_size=4))
+    def test_memos_match_uncached_construction(self, calls):
+        # each call as drawn, with floats, with its zeros' signs flipped, then as
+        # drawn again: a memo keyed without types or signs would hand back the
+        # other kind's result
+        def build(v0, a_max, s0, limit):
+            return PlannerSpec(agent._box(v0, 0.1, limit), agent._box(a_max, 0.1, 3.0),
+                               agent._box(s0, 0.5, 10.0))
+
+        def merge(v0, a_max, s0, _limit):
+            return dyn.IdmParams(v0=v0, T=dyn.FIXED_T, a_max=a_max, b=dyn.FIXED_B,
+                                 delta=dyn.FIXED_DELTA, s0=s0)
+
+        flipped = [tuple(-x if x == 0 else x for x in a) for a in calls]
+        for args in [*calls, *[tuple(map(float, a)) for a in calls], *flipped, *calls]:
+            assert repr(PlannerSpec.clamped(*args)) == repr(build(*args))
+            # IdmParams refuses a value <= 0 or NaN: both must raise alike then
+            assert (repr(outcome(lambda a: execute(PlannerSpec(*a[:3])), args))
+                    == repr(outcome(lambda a: merge(*a), args)))
 
 
 class _CannedBackend:

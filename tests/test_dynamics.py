@@ -229,6 +229,21 @@ class TestStep:
         assert exc.value.ego_id == "a"
         assert exc.value.leader_id == "b"
 
+    @pytest.mark.parametrize("bad_gap", [0.0, -0.0, -3.0])
+    def test_links_installed_between_steps_are_checked_before_moving(self, bad_gap):
+        # the first step clears the gap check; set_links must arm it again
+        w = uniform_ring_world(n=5, length=100.0)
+        dyn.step(w, 0.1)
+        gaps = w.gap.copy()
+        gaps[2] = bad_gap
+        w.set_links(w.lead_idx.copy(), gaps)
+        arc, speed = w.arc.copy(), w.speed.copy()
+        with pytest.raises(dyn.CollisionError) as exc:
+            dyn.step(w, 0.1)
+        assert exc.value.ego_id == w.ids[2] and exc.value.gap == bad_gap
+        np.testing.assert_array_equal(w.arc, arc)
+        np.testing.assert_array_equal(w.speed, speed)
+
     def test_params_swap_takes_effect_next_step(self):
         w = uniform_ring_world(n=3, length=300.0)
         vid = w.ids[0]

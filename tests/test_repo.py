@@ -1,5 +1,6 @@
-"""Repository hygiene: nothing ignored by .gitignore is tracked, and every
-third-party module the package imports at load time is a declared dependency."""
+"""Repository hygiene: nothing ignored by .gitignore is tracked, every
+third-party module the package imports at load time is a declared dependency,
+and every data file the package reads is declared package data."""
 import ast
 import re
 import shutil
@@ -50,10 +51,14 @@ def undeclared(sources, dependencies) -> set[str]:
             if m.lower() not in declared}
 
 
-def declared_dependencies() -> list[str]:
+def pyproject() -> dict:
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        return tomllib.load(fh)["project"]["dependencies"]
+        return tomllib.load(fh)
+
+
+def declared_dependencies() -> list[str]:
+    return pyproject()["project"]["dependencies"]
 
 
 def test_every_load_time_import_is_a_declared_dependency():
@@ -70,3 +75,29 @@ def test_the_dependency_check_sees_what_it_must():
     assert undeclared(["import requests.adapters\n"], []) == {"requests"}
     assert undeclared(["try:\n    from requests import post\nexcept ImportError:\n"
                        "    pass\n"], ["requests>=2.28"]) == set()
+
+
+def unpackaged(package_dir: Path, globs) -> set[str]:
+    """Files under the package's ``templates/`` and ``experiences/`` that no
+    package-data glob in ``globs`` picks up, relative to ``package_dir``."""
+    data = {p for d in ("templates", "experiences")
+            for p in (package_dir / d).rglob("*") if p.is_file()}
+    packaged = set().union(*(package_dir.glob(g) for g in globs))
+    return {p.relative_to(package_dir).as_posix() for p in data - packaged}
+
+
+def declared_package_data() -> list[str]:
+    return pyproject()["tool"]["setuptools"]["package-data"][PACKAGE.name]
+
+
+def test_every_data_file_is_declared_package_data():
+    # tier-1 imports comal from src/, so only this sees what an install would lack
+    assert unpackaged(PACKAGE, declared_package_data()) == set()
+
+
+def test_the_package_data_check_sees_what_it_must():
+    globs = declared_package_data()
+    experiences = {f"experiences/{p.name}" for p in (PACKAGE / "experiences").glob("*.json")}
+    assert experiences
+    assert unpackaged(PACKAGE, [g for g in globs if g != "experiences/*.json"]) == experiences
+    assert unpackaged(PACKAGE, []) >= experiences | {"templates/v1/reason_user.txt"}
