@@ -395,11 +395,13 @@ class MemoryStore:
         if persist_dir is not None:
             d = pathlib.Path(persist_dir)
             d.mkdir(parents=True, exist_ok=True)
-            n = len(list(d.glob("run_summary_*.json")))
+            # one past the highest index, so a deleted summary frees no name
+            taken = [fp.stem[len("run_summary_"):] for fp in d.glob("run_summary_*.json")]
+            n = max((int(k) for k in taken if k.isdecimal()), default=-1) + 1
             doc = {"scenario_tag": experience.scenario_tag,
                    "role_tag": experience.role_tag, "text": experience.text}
-            (d / f"run_summary_{n:04d}.json").write_text(
-                json.dumps(doc, indent=2), encoding="utf-8")
+            with open(d / f"run_summary_{n:04d}.json", "x", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc, indent=2))
 
     def recall(self, scenario_tag: str, role_tag: str | None = None):
         matches = [e for e in self._items if e.scenario_tag == scenario_tag]

@@ -301,6 +301,7 @@ class World:
         self.seed = seed
         self.b_max = b_max
         self.default_noise_std = DEFAULT_NOISE_STD  # applied to spawned arrivals
+        self.default_length = DEFAULT_VEHICLE_LENGTH  # of spawned arrivals, m
         self.time = 0.0
         self.step_count = 0
         self.ids: list[str] = []
@@ -555,7 +556,7 @@ class World:
         state = VehicleState(
             id=vid, route_id=inflow.route_id,
             position=self.network.arc_to_lane(inflow.route_id, 0.0),
-            speed=speed, length=DEFAULT_VEHICLE_LENGTH, kind=kind,
+            speed=speed, length=self.default_length, kind=kind,
             active_params=params)
         self.add_vehicle(state, self.default_noise_std if kind == "human" else 0.0)
         inflow.pending.pop(0)

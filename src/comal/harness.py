@@ -10,7 +10,6 @@ scripted backend).
 from __future__ import annotations
 
 import bisect
-import contextlib
 import csv
 import io
 import itertools
@@ -19,10 +18,6 @@ import math
 import operator
 import os
 import secrets
-import shutil
-import signal
-import tempfile
-import threading
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -269,7 +264,7 @@ def _atomic_write(directory, filename: str, write_fn) -> str:
     """
     # O_BINARY, where it exists, keeps the OS from translating the "\r\n" rows
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    while True:  # a fresh name, as tempfile.mkstemp picks one, but not mode 0o600
+    while True:  # a fresh name, as mkstemp picks one, but not its mode 0o600
         tmp = os.path.join(directory, f".{filename}.{secrets.token_hex(4)}.tmp")
         try:
             fd = os.open(tmp, flags, 0o666)
@@ -295,31 +290,6 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[1:-2]  # drop the leading delimiter and the "\r\n"
 
 
-# A part must be worth its fork. On a 2-vCPU x86 host, forking and reaping a
-# 60-MB process takes 2-3 ms, a sample formats in about 0.5 us, and a part
-# costs about 5-8 ms beyond its samples (the fork, its file, the copy, the wait
-# on the slower range): two parts beat one from about 30,000-40,000 samples
-# (best of 25: 13.7 vs 15.9 ms at 30,000, 19.5 vs 20.4 ms at 40,000). A part of
-# this many samples takes about 10 ms.
-MIN_SAMPLES_PER_PART = 20_000
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _part_count(n_samples: int) -> int:
-    """How many step ranges to format at once: one per usable CPU, each of
-    at least ``MIN_SAMPLES_PER_PART`` samples. A process with threads, or
-    without ``os.fork``, formats in one part, in-process."""
-    if not hasattr(os, "fork") or threading.active_count() != 1:
-        return 1
-    return max(1, min(_usable_cpus(), n_samples // MIN_SAMPLES_PER_PART))
-
-
 def _float_fields(col: np.ndarray) -> list[str]:
     """``repr`` of every float64 in the 1-D array ``col``, formatted natively.
 
@@ -338,8 +308,8 @@ def _float_fields(col: np.ndarray) -> list[str]:
     return fields
 
 
-def _write_rows(fh, cols: TrajectorySamples, lo: int, hi: int) -> None:
-    """Write the CSV rows of steps ``lo`` to ``hi`` (excluded), one step at a time.
+def _write_rows(fh, cols: TrajectorySamples) -> None:
+    """Write the CSV rows of every step, one step at a time.
 
     A population's rows are one template list, six strings per vehicle
     (time, ``,id,``, position, ``,``, speed, ``\\r\\n``), made again only when
@@ -348,8 +318,7 @@ def _write_rows(fh, cols: TrajectorySamples, lo: int, hi: int) -> None:
     """
     field: dict[str, str] = {}  # vehicle id -> its CSV field
     ids = row = None
-    for time, step_ids, pos, speed in zip(cols.times[lo:hi], cols.ids[lo:hi],
-                                           cols.positions[lo:hi], cols.speeds[lo:hi]):
+    for time, step_ids, pos, speed in zip(cols.times, cols.ids, cols.positions, cols.speeds):
         if step_ids is not ids:
             ids = step_ids
             for v in ids:
@@ -365,83 +334,13 @@ def _write_rows(fh, cols: TrajectorySamples, lo: int, hi: int) -> None:
         fh.write("".join(row))
 
 
-def _format_part(path: str, cols: TrajectorySamples, lo: int, hi: int) -> None:
-    """In a forked child: write steps ``lo:hi`` to ``path`` and leave.
-
-    The child leaves only through ``os._exit``, so it never flushes a buffer
-    it shares with the parent; its exit code is 0 only once ``path`` is closed.
-    """
-    code = 1
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as part:
-            _write_rows(part, cols, lo, hi)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _step_bounds(cols: TrajectorySamples, parts: int) -> list[int]:
-    """The first step of each of ``parts`` contiguous ranges of about equal
-    numbers of samples, then the step count."""
-    n = len(cols)
-    return ([0] + [bisect.bisect_left(cols._ends, n * p // parts) for p in range(1, parts)]
-            + [len(cols.times)])
-
-
-def _write_trajectories(fh, cols: TrajectorySamples, directory, parts: int) -> None:
-    """Write trajectories.csv to ``fh`` in ``parts`` contiguous step ranges.
-
-    The ranges hold about equal numbers of samples. Each range after the
-    first is formatted by a forked child into a part file next to ``fh``'s;
-    the parent formats the first, then reaps the children in order and
-    appends their parts. The bytes do not depend on ``parts``. On any
-    failure every child is reaped and every part file removed before the
-    error propagates.
-    """
-    csv.writer(fh).writerow(["time", "vehicle_id", "position", "speed"])
-    bounds = _step_bounds(cols, parts)
-    children: list[tuple[int, str]] = []  # (pid, part path), in step order
-    paths: list[str] = []
-    try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            fd, path = tempfile.mkstemp(dir=directory, prefix=".trajectories.csv.",
-                                        suffix=".part")
-            os.close(fd)
-            paths.append(path)
-            pid = os.fork()
-            if pid == 0:
-                _format_part(path, cols, lo, hi)
-            children.append((pid, path))
-        _write_rows(fh, cols, bounds[0], bounds[1])
-        fh.flush()
-        while children:
-            pid, path = children[0]
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            if status != 0:
-                raise RuntimeError(f"formatting {path} failed "
-                                   f"(exit code {os.waitstatus_to_exitcode(status)})")
-            with open(path, "rb") as part:
-                shutil.copyfileobj(part, fh.buffer)  # in fixed-size blocks
-    finally:
-        for pid, _ in children:  # left unreaped only by a failure
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for path in paths:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(path)
-
-
 def export(result: RunResult, directory) -> dict:
     """Write metrics.json and trajectories.csv atomically.
 
     Returns the paths written. The CSV holds one row per sample, written
     one step at a time; it is byte-identical to writing every row through
-    ``csv.writer``. Its step ranges are formatted in up to one forked
-    process per usable CPU (see :func:`_write_trajectories`). The transcript
-    log (when a recording backend ran) is written live during the run, not
-    here.
+    ``csv.writer``. The transcript log (when a recording backend ran) is
+    written live during the run, not here.
     """
     os.makedirs(directory, exist_ok=True)
     paths = {}
@@ -453,12 +352,15 @@ def export(result: RunResult, directory) -> dict:
     return paths
 
 
-def _export_trajectories(samples, directory, parts: int | None = None) -> str:
-    """Write trajectories.csv atomically; ``parts`` defaults to :func:`_part_count`."""
+def _export_trajectories(samples, directory) -> str:
+    """Write trajectories.csv atomically: the header, then every step's rows."""
     cols = TrajectorySamples.of(samples)
-    parts = _part_count(len(cols)) if parts is None else parts
-    return _atomic_write(directory, "trajectories.csv",
-                         lambda fh: _write_trajectories(fh, cols, directory, parts))
+
+    def write(fh):
+        csv.writer(fh).writerow(["time", "vehicle_id", "position", "speed"])
+        _write_rows(fh, cols)
+
+    return _atomic_write(directory, "trajectories.csv", write)
 
 
 def import_trajectories(path) -> list[TrajectorySample]:

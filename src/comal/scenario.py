@@ -74,6 +74,11 @@ class ScenarioConfig:
                 f"perception_horizon_m must be >= 0, got {self.perception_horizon_m}")
         if self.cav_placement not in ("even", "clustered"):
             raise ValueError(f"unknown cav_placement {self.cav_placement!r}")
+        for key in ("speed_limit", "vehicle_length_m", "ring_length_m", "loop_radius_m",
+                    "highway_length_m", "ramp_length_m", "highway_inflow_vph",
+                    "ramp_inflow_vph"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
 
     def replace(self, **kw) -> "ScenarioConfig":
         return dataclasses.replace(self, **kw)
@@ -160,6 +165,7 @@ def instantiate(cfg: ScenarioConfig) -> dyn.World:
     network = build_network(cfg)
     world = dyn.World(network, seed=cfg.seed)
     world.default_noise_std = cfg.noise_std
+    world.default_length = cfg.vehicle_length_m
     if cfg.topology == "merge":
         world.add_inflow("highway", cfg.highway_inflow_vph,
                          cav_fraction=cfg.penetration, id_prefix="hw")

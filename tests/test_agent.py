@@ -425,6 +425,17 @@ class TestMemory:
         reloaded = MemoryStore.from_dir(tmp_path)
         assert recall(reloaded, "ring")[0].text == "summary"
 
+    def test_writeback_after_a_deletion_overwrites_nothing(self, tmp_path):
+        store = MemoryStore()
+        for text in ("first", "second", "third"):
+            store.add(Experience("ring", None, text), persist_dir=tmp_path)
+        (tmp_path / "run_summary_0000.json").unlink()
+        store.add(Experience("ring", None, "fourth"), persist_dir=tmp_path)
+        texts = {fp.name: json.loads(fp.read_text())["text"]
+                 for fp in tmp_path.glob("run_summary_*.json")}
+        assert texts == {"run_summary_0001.json": "second", "run_summary_0002.json": "third",
+                         "run_summary_0003.json": "fourth"}
+
     def test_bad_tag_rejected(self):
         with pytest.raises(ValueError):
             Experience("motorway", None, "x")

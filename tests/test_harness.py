@@ -5,7 +5,6 @@ import json
 import math
 import os
 import tempfile
-import threading
 
 import numpy as np
 import pytest
@@ -328,12 +327,9 @@ class TestRowAssembly:
     @given(odd_samples())
     def test_equals_the_per_sample_writer(self, cols):
         with tempfile.TemporaryDirectory() as tmp:
-            for parts in (1, 2):
-                out = os.path.join(tmp, str(parts))
-                os.mkdir(out)
-                path = harness._export_trajectories(cols, out, parts=parts)
-                with open(path, "rb") as fh:
-                    assert fh.read() == reference_trajectories_csv(cols), parts
+            path = harness._export_trajectories(cols, tmp)
+            with open(path, "rb") as fh:
+                assert fh.read() == reference_trajectories_csv(cols)
 
 
 def relabelled(samples: TrajectorySamples, names: dict) -> TrajectorySamples:
@@ -345,128 +341,52 @@ def relabelled(samples: TrajectorySamples, names: dict) -> TrajectorySamples:
     return out
 
 
-@pytest.fixture
-def counted_fork(monkeypatch):
-    """``os.fork``, counting its calls in the returned list."""
-    calls = []
-    real_fork = os.fork
-
-    def fork():
-        calls.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return calls
-
-
-@pytest.fixture
-def four_parts(monkeypatch):
-    """Export would split any run into four parts, whatever the host."""
-    monkeypatch.setattr(harness, "MIN_SAMPLES_PER_PART", 1)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
-
-
 def assert_clean(directory, old_csv: bytes) -> None:
-    """No part or temp file left, the old CSV kept, and no child unreaped."""
+    """No temp file left and the old CSV kept."""
     assert sorted(p.name for p in directory.iterdir()) == ["metrics.json", "trajectories.csv"]
     assert (directory / "trajectories.csv").read_bytes() == old_csv
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestPartedExport:
-    """trajectories.csv written in forked step ranges has the bytes of one part."""
+    """trajectories.csv of runs whose population changes, and an export that
+    fails partway."""
 
-    def assert_parts_agree(self, samples, tmp_path):
-        cols = TrajectorySamples.of(samples)
-        written = []
-        for parts in (1, 2, 3, 4):
-            out = tmp_path / str(parts)
-            out.mkdir()
-            path = harness._export_trajectories(cols, out, parts=parts)
-            written.append(open(path, "rb").read())
-            assert import_trajectories(path) == samples
-            assert sorted(p.name for p in out.iterdir()) == ["trajectories.csv"]
-        assert written == [reference_trajectories_csv(samples)] * 4
+    def assert_exported(self, samples, tmp_path):
+        path = harness._export_trajectories(samples, tmp_path)
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_trajectories_csv(samples)
+        assert import_trajectories(path) == samples
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectories.csv"]
 
     def test_merge_with_spawns_and_exits(self, tmp_path):
         cfg = sc.find("Merge 0").replace(horizon_s=40.0, warmup_s=10.0, seed=2)
         samples = run(cfg).samples
-        changes = {k for k in range(1, len(samples.times))
-                   if samples.ids[k] is not samples.ids[k - 1]}
-        bounds = harness._step_bounds(samples, 3)
-        # the id list changes exactly at a range boundary and inside every range
-        assert changes & set(bounds[1:-1])
-        assert all(changes & set(range(lo + 1, hi)) for lo, hi in zip(bounds, bounds[1:]))
         seen = set().union(*samples.ids)
         assert seen - set(samples.ids[0]) and seen - set(samples.ids[-1])  # spawned, left
-        self.assert_parts_agree(samples, tmp_path)
+        self.assert_exported(samples, tmp_path)
 
     def test_ids_that_need_quoting(self, tmp_path):
         samples = run(MINI_RING.replace(seed=3)).samples
         first = samples.ids[0]
         samples = relabelled(samples, {first[0]: 'with,comma "quote"',
                                        first[1]: "line\nbreak"})
-        self.assert_parts_agree(samples, tmp_path)
+        self.assert_exported(samples, tmp_path)
 
-    def test_part_count(self, monkeypatch):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
-        per_part = harness.MIN_SAMPLES_PER_PART
-        assert [harness._part_count(n) for n in
-                (0, per_part - 1, 2 * per_part, 10 * per_part)] == [1, 1, 2, 3]
-
-    def test_a_failing_child_leaves_no_file_and_no_child(self, tmp_path, monkeypatch,
-                                                         counted_fork, four_parts):
+    @pytest.mark.parametrize("error", [OSError("disk on fire"), KeyboardInterrupt()],
+                             ids=["oserror", "interrupt"])
+    def test_a_failure_partway_keeps_the_old_file(self, tmp_path, monkeypatch, error):
         result = run(MINI_RING)
         real_rows = harness._write_rows
 
-        def rows(fh, cols, lo, hi):
-            if lo > 0:  # a child's range
-                raise OSError("disk on fire")
-            real_rows(fh, cols, lo, hi)
+        def rows(fh, cols):
+            real_rows(fh, TrajectorySamples.of(list(cols)[:len(cols) // 2]))
+            raise error
 
         monkeypatch.setattr(harness, "_write_rows", rows)
         (tmp_path / "trajectories.csv").write_bytes(b"old run\r\n")
-        with pytest.raises(RuntimeError, match="exit code 1"):
+        with pytest.raises(type(error)):
             export(result, tmp_path)
-        assert len(counted_fork) == 3
         assert_clean(tmp_path, b"old run\r\n")
-
-    def test_an_interrupted_parent_reaps_every_child(self, tmp_path, monkeypatch,
-                                                     counted_fork, four_parts):
-        result = run(MINI_RING)
-        real_rows = harness._write_rows
-
-        def rows(fh, cols, lo, hi):
-            if lo == 0:  # the parent's range
-                raise KeyboardInterrupt
-            real_rows(fh, cols, lo, hi)
-
-        monkeypatch.setattr(harness, "_write_rows", rows)
-        (tmp_path / "trajectories.csv").write_bytes(b"old run\r\n")
-        with pytest.raises(KeyboardInterrupt):
-            export(result, tmp_path)
-        assert len(counted_fork) == 3
-        assert_clean(tmp_path, b"old run\r\n")
-
-    def test_a_second_thread_writes_in_process(self, tmp_path, counted_fork, four_parts):
-        result = run(MINI_RING)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            path = export(result, tmp_path)["trajectories"]
-        finally:
-            release.set()
-            other.join()
-        assert counted_fork == []
-        assert open(path, "rb").read() == reference_trajectories_csv(result.samples)
-
-    def test_no_fork_writes_in_process(self, tmp_path, monkeypatch, four_parts):
-        result = run(MINI_RING)
-        monkeypatch.delattr(os, "fork")
-        path = export(result, tmp_path)["trajectories"]
-        assert open(path, "rb").read() == reference_trajectories_csv(result.samples)
 
 
 class TestReplayFlow:
@@ -612,12 +532,15 @@ class TestCli:
         from click.testing import CliRunner
         from comal.cli import main
         path = tmp_path / "bad.json"
-        path.write_text('{"replan_interval_s": -1}', encoding="utf-8")
-        out = CliRunner().invoke(main, ["run", "--scenario", "Ring 0", "--config", str(path),
-                                        "--out", str(tmp_path / "r")])
-        assert out.exit_code == 2, out.output
-        assert "Invalid value for '--config'" in out.output and "replan_interval_s" in out.output
-        assert not (tmp_path / "r").exists()
+        for key, value in [("replan_interval_s", -1), ("speed_limit", -1),
+                           ("vehicle_length_m", 0)]:
+            path.write_text(json.dumps({key: value}), encoding="utf-8")
+            out = CliRunner().invoke(main, ["run", "--scenario", "Ring 0",
+                                            "--config", str(path),
+                                            "--out", str(tmp_path / "r")])
+            assert out.exit_code == 2, out.output
+            assert "Invalid value for '--config'" in out.output and key in out.output
+            assert not (tmp_path / "r").exists()
 
     def test_run_refuses_to_replay_the_transcript_it_writes(self, tmp_path):
         from click.testing import CliRunner

@@ -63,11 +63,16 @@ class TestCatalog:
 
     # each of these used to pass: a negative replan interval replanned every
     # step, a negative horizon emptied every neighbor list, zero rounds failed
-    # only after warmup, and a negative noise failed at a merge's first spawn
+    # only after warmup, a negative noise failed at a merge's first spawn, and
+    # a length, speed limit or inflow rate that is not > 0 failed inside the
+    # run, raised by the network or a vehicle
     @pytest.mark.parametrize("key, value", [
         ("replan_interval_s", 0.0), ("replan_interval_s", -1.0),
         ("perception_horizon_m", -0.5), ("collab_max_rounds", 0),
-        ("noise_std", -0.1)])
+        ("noise_std", -0.1), ("speed_limit", -1.0), ("vehicle_length_m", 0.0),
+        ("ring_length_m", 0.0), ("loop_radius_m", -30.0), ("highway_length_m", 0.0),
+        ("ramp_length_m", -100.0), ("highway_inflow_vph", 0.0),
+        ("ramp_inflow_vph", float("nan"))])
     def test_rejects_values_that_misbehave_later(self, key, value):
         with pytest.raises(ValueError, match=key):
             sc.apply_overrides(sc.find("Ring 0"), {key: value})
@@ -121,6 +126,13 @@ class TestInstantiate:
         assert len(w.inflows) == 2
         assert w.inflows[0].cav_fraction == 0.50
         assert w.inflows[1].cav_fraction == 0.0  # ramp arrivals stay human
+
+    def test_merge_arrivals_take_the_configured_length(self):
+        cfg = sc.find("Merge 1").replace(vehicle_length_m=7.5)
+        w = sc.instantiate(cfg)
+        for _ in range(int(round(20.0 / cfg.dt))):
+            dyn.step(w, cfg.dt)
+        assert w.size > 0 and set(w.length.tolist()) == {7.5}
 
     def test_placement_ignores_seed(self):
         a = sc.instantiate(sc.find("Ring 1").replace(seed=1))
