@@ -18,7 +18,7 @@ import math
 import os
 import pathlib
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Protocol
 
@@ -101,32 +101,47 @@ class SceneDescription:
 
     @property
     def neighbors_text(self) -> str:
-        return _neighbors_line(*self._near())
+        """The ``[NEIGHBORS]`` line, from fresh tables keyed by each
+        neighbor's place in ``neighbors``."""
+        nb = self.neighbors
+        rows = range(len(nb))
+        head, tail = _row_tables([n[0] for n in nb], [n[1] for n in nb],
+                                 [n[3] for n in nb], rows)
+        return _neighbors_lines([[(n[2], n[0], k) for k, n in zip(rows, nb)]], head, tail)[0]
 
     @functools.cached_property
     def text(self) -> str:
         """The whole rendering, built on first use and kept with the scene.
 
         :func:`perceive_all` fills it in as it perceives the scene."""
-        return _render(self.map_text, self.ego_text, *self._near())
+        return _render(self.map_text, self.ego_text, self.neighbors_text)
 
-    def _near(self):
-        """The neighbors as :func:`_neighbors_line` reads them, with fresh
-        tables keyed by their place in ``neighbors``."""
-        nb = self.neighbors
-        near = [(gap, vid, k) for k, (vid, _, gap, _) in enumerate(nb)]
-        return (near, *_row_tables([n[0] for n in nb], [n[1] for n in nb],
-                                   [n[3] for n in nb], range(len(nb))))
+
+def _scene(**fields) -> SceneDescription:
+    """A scene built by filling its ``__dict__`` with ``fields``, every one
+    of them: what the frozen ``__init__`` stores, at about a third of its cost."""
+    scene = object.__new__(SceneDescription)
+    vars(scene).update(fields)
+    return scene
+
+
+def _formatted(fmt: str, values) -> list[str]:
+    """``fmt % v`` for each of ``values``, formatted by one ``%`` call;
+    ``fmt`` takes one number and holds no line break."""
+    if not values:
+        return []
+    return ("\n".join([fmt] * len(values)) % tuple(values)).split("\n")
 
 
 def _row_tables(ids, kinds, speeds, rows) -> tuple[dict, dict]:
-    """The head (``id:kind gap=``) and tail (`` m speed=… m/s``) of the
-    neighbor entry of each of ``rows``, which index ``ids``, ``kinds`` and
-    ``speeds``.
+    """The head (``id:kind gap=``) and tail (`` m speed=… m/s; ``, the
+    separator included) of the neighbor entry of each of ``rows``, which
+    index ``ids``, ``kinds`` and ``speeds``.
 
     Keyed by row, never by speed: ``-0.0 == 0.0``, yet they render apart."""
+    rows = list(rows)
     return ({j: f"{ids[j]}:{kinds[j]} gap=" for j in rows},
-            {j: f" m speed={speeds[j]:.2f} m/s" for j in rows})
+            dict(zip(rows, _formatted(" m speed=%.2f m/s; ", [speeds[j] for j in rows]))))
 
 
 def _map_line(tag, route_length, cyclic, speed_limit, intersections) -> str:
@@ -135,17 +150,32 @@ def _map_line(tag, route_length, cyclic, speed_limit, intersections) -> str:
             f"speed_limit={speed_limit:.2f} m/s; intersections={intersections}")
 
 
-def _neighbors_line(near, head, tail) -> str:
-    """``near`` holds (gap, id, row) in listing order; ``head`` and ``tail``
-    are :func:`_row_tables`, so an entry costs one ``:.2f`` and a join."""
-    if not near:
-        return "[NEIGHBORS] none"
-    return "[NEIGHBORS] " + "; ".join([f"{head[j]}{gap:.2f}{tail[j]}" for gap, _, j in near])
+def _neighbors_lines(nears, head, tail) -> list[str]:
+    """The ``[NEIGHBORS]`` line of each of ``nears``, lists of (gap, id, row)
+    in listing order; ``head`` and ``tail`` are :func:`_row_tables`.
+
+    Every gap is formatted by one ``"%.2f"`` call, which writes what
+    ``f"{gap:.2f}"`` does. Each line is then one join of its entries'
+    pieces (head, gap, tail), gathered by row from one list."""
+    rows = [j for near in nears for _, _, j in near]
+    pieces = [""] * (3 * len(rows))
+    pieces[0::3] = [head[j] for j in rows]
+    pieces[1::3] = _formatted("%.2f", [gap for near in nears for gap, _, _ in near])
+    pieces[2::3] = [tail[j] for j in rows]
+    lines, at = [], 0
+    for near in nears:
+        if near:
+            end = at + 3 * len(near)
+            lines.append("[NEIGHBORS] " + "".join(pieces[at:end])[:-2])  # the last "; "
+            at = end
+        else:
+            lines.append("[NEIGHBORS] none")
+    return lines
 
 
-def _render(map_line: str, ego_line: str, near, head, tail) -> str:
+def _render(map_line: str, ego_line: str, neighbors_line: str) -> str:
     """The v1 scene text: the one renderer of every scene."""
-    return f"{map_line}\n{ego_line}\n{_neighbors_line(near, head, tail)}"
+    return f"{map_line}\n{ego_line}\n{neighbors_line}"
 
 
 _NO_VEHICLE = np.iinfo(np.intp).max  # above every vehicle index
@@ -191,8 +221,9 @@ def perceive_all(world, ego_ids, horizon: float, index=None) -> list[SceneDescri
     # the pass's tables, over every row listed as someone's neighbor
     head, tail = _row_tables(world.ids, world.kinds, speed,
                              {j for _, _, near in found for _, _, j in near})
-    for scene, map_line, near in found:  # fill in each text's cached_property
-        vars(scene)["text"] = _render(map_line, scene.ego_text, near, head, tail)
+    lines = _neighbors_lines([near for _, _, near in found], head, tail)
+    for (scene, map_line, _), line in zip(found, lines):  # fill in each text's cached_property
+        vars(scene)["text"] = _render(map_line, scene.ego_text, line)
     return [scene for scene, _, _ in found]
 
 
@@ -200,7 +231,7 @@ def _perceive_route(world, index, route_id: str, egos: list[int], horizon: float
                     speed: list[float]) -> list[tuple[SceneDescription, str, list]]:
     """Scenes of the egos on one route, whose sorted order is ``index``'s,
     each with the route's ``[MAP]`` line and its neighbors as
-    :func:`_neighbors_line` lists them; ``speed`` is ``world.speed`` as a list.
+    :func:`_neighbors_lines` lists them; ``speed`` is ``world.speed`` as a list.
 
     Each ego's candidates are a contiguous slice of the route order after
     it, wrapped on a loop so that a full lap ends on the ego itself. Forward
@@ -268,7 +299,7 @@ def _perceive_route(world, index, route_id: str, egos: list[int], horizon: float
             leader_id, headway, leader_speed = None, math.inf, 0.0
         else:
             leader_id, leader_speed = ids[lead_j], speed[lead_j]
-        scene = SceneDescription(
+        scene = _scene(
             scenario_tag=tag, ego_id=ids[i], ego_speed=speed[i], headway=headway,
             leader_id=leader_id, leader_speed=leader_speed, speed_limit=speed_limit,
             route_length=length, cyclic=route.cyclic, intersections=intersections,
@@ -286,8 +317,10 @@ _EGO_RE = re.compile(
     r"\[EGO\] id=(?P<id>[^;\s]+); speed=(?P<speed>[\d.]+) m/s; "
     r"headway=(?P<headway>[\d.]+|inf) m; leader=(?P<leader>[^;\s]+); "
     r"leader_speed=(?P<lspeed>[\d.]+) m/s")
+# gaps and speeds only as float() reads them: an entry such as "gap=1.2.3"
+# is no neighbor, so reading the neighbors never raises, whatever the text
 _NEIGHBOR_RE = re.compile(
-    r"(\S+):(\w+) gap=([\d.]+) m speed=([\d.]+) m/s")
+    r"(\S+):(\w+) gap=(\d+\.?\d*|\.\d+) m speed=(\d+\.?\d*|\.\d+) m/s")
 _NEIGHBORS_TAG = "[NEIGHBORS]"
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # as str.splitlines
 
@@ -300,9 +333,9 @@ def parse_scene_text(text: str) -> SceneDescription | None:
     carries no scene.
     """
     scene = _parse_header(text)
-    if scene is None:
-        return None
-    return replace(scene, neighbors=_parse_neighbors(text))
+    if scene is not None:  # a fresh scene, filled in as _scene fills it
+        vars(scene)["neighbors"] = _parse_neighbors(text)
+    return scene
 
 
 def _parse_header(text: str) -> SceneDescription | None:
@@ -315,7 +348,7 @@ def _parse_header(text: str) -> SceneDescription | None:
     tag, route_length, shape, limit, nx = m_map.group("tag", "len", "shape", "limit", "nx")
     ego_id, speed, headway, leader, leader_speed = m_ego.group(
         "id", "speed", "headway", "leader", "lspeed")
-    return SceneDescription(
+    return _scene(
         scenario_tag=tag,
         ego_id=ego_id,
         ego_speed=float(speed),
@@ -627,6 +660,13 @@ def scripted_backend_policy(role: str, scene: SceneDescription | None,
     """
     limit = speed_limit if speed_limit is not None else (
         scene.speed_limit if scene is not None else 30.0)
+    return _policy(role, scene, limit, role == "wave_dampener" and _congested(scene, limit))
+
+
+def _policy(role: str, scene: SceneDescription | None, limit: float,
+            congested: bool) -> PlannerSpec:
+    """:func:`scripted_backend_policy` under ``limit``, given the wave
+    dampener's congestion rule as evaluated on ``scene``."""
     if role == "follower":
         return PlannerSpec.clamped(limit, FOLLOWER_A_MAX, FOLLOWER_S0, limit)
     if role == "leader":
@@ -638,9 +678,8 @@ def scripted_backend_policy(role: str, scene: SceneDescription | None,
         return PlannerSpec.clamped(v0, 1.0, 2.0, limit)
     # wave dampener
     tag = scene.scenario_tag if scene is not None else "ring"
-    if not _congested(scene, limit):
-        free_a = DAMPENER_FREE_A_MAX.get(tag, DAMPENER_FREE_A_MAX_DEFAULT)
-        return PlannerSpec.clamped(limit, free_a, 2.0, limit)
+    if not congested:
+        return _free_plan(tag, limit)
     if scene.neighbors:
         target = sum(n[3] for n in scene.neighbors) / len(scene.neighbors)
     else:
@@ -648,6 +687,22 @@ def scripted_backend_policy(role: str, scene: SceneDescription | None,
     floor = DAMPENER_FLOOR.get(tag, DAMPENER_FLOOR_DEFAULT)
     return PlannerSpec.clamped(max(floor, target - DAMPENER_PACE_MARGIN),
                                1.0, 2.0, limit)
+
+
+@_memoized  # most reason turns of a run drive a free road under one limit
+def _free_plan(tag: str, limit: float) -> PlannerSpec:
+    """The wave dampener's plan on a free road: the limit, at scenario-tuned
+    acceleration."""
+    free_a = DAMPENER_FREE_A_MAX.get(tag, DAMPENER_FREE_A_MAX_DEFAULT)
+    return PlannerSpec.clamped(limit, free_a, 2.0, limit)
+
+
+@_memoized  # one line per planner, and replies repeat a few hundred planners
+def _planner_json(v0: float, a_max: float, s0: float) -> str:
+    """The planner's JSON line, as ``json.dumps`` writes it: a clamped
+    planner holds finite numbers only."""
+    v0, a_max, s0 = round(v0, 4), round(a_max, 4), round(s0, 4)
+    return f'{{"v0": {v0!r}, "a_max": {a_max!r}, "s0": {s0!r}}}'
 
 
 class ScriptedBackend:
@@ -707,9 +762,11 @@ class ScriptedBackend:
         m_role = self._ROLE_RE.search(text)
         role = m_role.group(1) if m_role and m_role.group(1) in ROLES else "wave_dampener"
         scene = _parse_header(text)
-        if role == "wave_dampener" and scene is not None and _congested(scene, scene.speed_limit):
+        limit = scene.speed_limit if scene is not None else 30.0
+        congested = role == "wave_dampener" and _congested(scene, limit)
+        if congested:
             scene = parse_scene_text(text)  # the one plan that reads the neighbors
-        planner = scripted_backend_policy(role, scene)
+        planner = _policy(role, scene, limit, congested)
         if scene is None:
             note = "No scene available; using the role's default plan."
         elif scene.leader_id is None:
@@ -717,10 +774,7 @@ class ScriptedBackend:
         else:
             note = (f"Leader {scene.leader_id} at {scene.headway:.2f} m doing "
                     f"{scene.leader_speed:.2f} m/s.")
-        # what json.dumps writes: a clamped planner holds finite numbers only
-        v0, a_max, s0 = round(planner.v0, 4), round(planner.a_max, 4), round(planner.s0, 4)
-        doc = f'{{"v0": {v0!r}, "a_max": {a_max!r}, "s0": {s0!r}}}'
-        return f"Role {role}. {note}\n{doc}"
+        return f"Role {role}. {note}\n{_planner_json(planner.v0, planner.a_max, planner.s0)}"
 
 
 # -- reasoning and execution --------------------------------------------------

@@ -61,8 +61,16 @@ def _parse_rates(ctx, param, text: str | None) -> list[float] | None:
     return rates
 
 
+def _find(name: str, option: str) -> sc.ScenarioConfig:
+    """The catalog entry ``name``; an unknown name is a usage error of ``option``."""
+    try:
+        return sc.find(name)
+    except KeyError as exc:
+        raise click.BadParameter(exc.args[0], param_hint=f"'{option}'") from None
+
+
 def _resolve_config(name, config_path, seed, no_collab, no_memory, no_perception):
-    cfg = sc.find(name)
+    cfg = _find(name, "--scenario")
     if config_path:
         try:
             cfg = sc.apply_overrides(cfg, sc.load_overrides(config_path))
@@ -158,15 +166,18 @@ def run_cmd(scenario_name, backend_name, seed, out_dir, config_path, no_collab,
               help="write the aggregated table as CSV")
 def sweep_cmd(scenarios, seeds, penetrations, template_name, workers, out_path):
     """Aggregate scripted runs over seeds, per scenario or per penetration rate."""
-    if penetrations:
-        template = sc.find(template_name)
-        table = harness.penetration_sweep(template, seeds, penetrations, workers)
-    elif scenarios:
-        cells = [harness.SweepCell(label=name.strip(), config=sc.find(name))
-                 for name in scenarios.split(",") if name.strip()]
-        table = harness.sweep(cells, seeds, workers)
-    else:
+    if not (penetrations or scenarios):
         raise click.UsageError("pass --scenarios or --penetrations")
+    try:
+        if penetrations:
+            template = _find(template_name, "--scenario")
+            table = harness.penetration_sweep(template, seeds, penetrations, workers)
+        else:
+            cells = [harness.SweepCell(label=name.strip(), config=_find(name, "--scenarios"))
+                     for name in scenarios.split(",") if name.strip()]
+            table = harness.sweep(cells, seeds, workers)
+    except ValueError as exc:  # a template that is not a merge, a repeated label
+        raise click.UsageError(str(exc)) from None
     click.echo(table.format_table())
     if out_path:
         pathlib.Path(out_path).write_text(table.to_csv(), encoding="utf-8")

@@ -61,7 +61,7 @@ _COLUMNS: dict[str, tuple[type, tuple[int, ...]]] = {
     "_noise_pos": (np.intp, ()),  # next draw, _NOISE_BLOCK once used up; 0 if noise-free
     **dict.fromkeys(_PARAM_KEYS, (np.float64, ())),
 }
-_LISTS = ("ids", "route_ids", "kinds", "noise")  # per-vehicle Python objects
+_LISTS = ("ids", "route_ids", "kinds", "noise", "_installed")  # per-vehicle Python objects
 
 
 @dataclass(frozen=True)
@@ -308,6 +308,7 @@ class World:
         self.route_ids: list[str] = []
         self.kinds: list[str] = []
         self.noise: list[NoiseModel] = []
+        self._installed: list[IdmParams] = []  # the object each row's parameters came from
         self._store = {name: np.empty((0, *shape), dtype)
                        for name, (dtype, shape) in _COLUMNS.items()}
         self._bind()
@@ -352,6 +353,7 @@ class World:
         self.route_ids.append(state.route_id)
         self.kinds.append(state.kind)
         self.noise.append(NoiseModel(noise_std, self._seedseq.spawn(1)[0]))
+        self._installed.append(state.active_params)
         self._bind()
         self._gaps_checked = False
 
@@ -382,10 +384,16 @@ class World:
         return [vid for vid, kind in zip(self.ids, self.kinds) if kind == "cav"]
 
     def set_params(self, vehicle_id: str, params: IdmParams) -> None:
-        """Install new planner parameters; takes effect from the next step."""
+        """Install new planner parameters; takes effect from the next step.
+
+        Installing the very object the row already holds writes nothing:
+        parameters are frozen, and replans reinstall a few hundred planners."""
         i = self._index[vehicle_id]
+        if self._installed[i] is params:
+            return
         for key in self._p:
             self._p[key][i] = getattr(params, key)
+        self._installed[i] = params
 
     # -- leader links ------------------------------------------------------
 

@@ -488,7 +488,13 @@ def sweep(cells: list[SweepCell], seeds, workers: int = 1) -> SweepTable:
 
 def penetration_sweep(template: sc.ScenarioConfig, seeds, penetrations,
                       workers: int = 1) -> SweepTable:
-    """Sweep a merge template over CAV penetration rates."""
+    """Sweep a merge template over CAV penetration rates.
+
+    Penetration sets the CAV share of merge arrivals only, so any other
+    template would give the same world at every rate: a ValueError."""
+    if template.topology != "merge":
+        raise ValueError(f"penetration acts only on merges; {template.name!r} "
+                         f"is a {template.topology} scenario")
     cells = [SweepCell(label=f"pen={p:.3f}",
                        config=template.replace(penetration=p,
                                                name=f"{template.name} pen={p:.3f}"))

@@ -8,6 +8,7 @@ reproducible without network access or keys.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
@@ -109,6 +110,7 @@ def complete(config: BackendConfig, turns: list[ChatTurn], *,
 
 
 _BRACE_RE = re.compile(r"[{}]")
+_PLANNER_KEYS = ("v0", "a_max", "s0")
 
 
 def _json_candidates(text: str):
@@ -136,23 +138,29 @@ def extract_planner_json(text: str) -> dict:
     """
     found = None
     for candidate in _json_candidates(text or ""):
-        try:
-            doc = json.loads(candidate)
-        except (ValueError, RecursionError):
-            continue
-        if not isinstance(doc, dict):
-            continue
-        values = {}
-        for k in ("v0", "a_max", "s0"):
-            v = doc.get(k)
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                break
-            values[k] = float(v)
-        else:
-            found = values
+        found = _planner_values(candidate) or found
     if found is None:
         raise PlannerParseError("no JSON object with numeric v0, a_max, s0")
-    return found
+    return dict(zip(_PLANNER_KEYS, found))
+
+
+@functools.lru_cache(maxsize=1024)  # most replies of a run carry one of a few planners
+def _planner_values(candidate: str) -> tuple[float, float, float] | None:
+    """The planner a ``{...}`` candidate holds, as floats in ``_PLANNER_KEYS``
+    order; None when it is no JSON object with those keys numeric."""
+    try:
+        doc = json.loads(candidate)
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(doc, dict):
+        return None
+    values = []
+    for k in _PLANNER_KEYS:
+        v = doc.get(k)
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            return None
+        values.append(float(v))
+    return tuple(values)
 
 
 class TranscriptLog:

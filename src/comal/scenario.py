@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ from . import network as net_mod
 from .network import NetworkSpec
 
 TOPOLOGIES = ("ring", "figure_eight", "merge")
+# what each annotated field kind of ScenarioConfig accepts; no number field takes a bool
+_FIELD_KINDS = {"str": (str, "a string"), "int": (numbers.Integral, "an integer"),
+                "float": (numbers.Real, "a number"), "bool": (bool, "true or false")}
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,11 @@ class ScenarioConfig:
     collaboration: bool = True
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            kind, wanted = _FIELD_KINDS[f.type]
+            value = getattr(self, f.name)
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}")
         if not self.horizon_s > self.warmup_s >= 0.0:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from comal import dynamics as dyn
 from comal import network as net
+from comal.llm_client import PlannerParseError
 from comal.agent import (_EGO_RE, _MAP_RE, _NEIGHBOR_RE, ROLES, TERMINATOR,
                          SceneDescription, ScriptedBackend, allocate_roles,
                          parse_scene_text, scripted_backend_policy)
@@ -223,6 +224,32 @@ def reference_json_candidates(text):
             depth -= 1
             if depth == 0:
                 yield text[start:i + 1]
+
+
+def reference_extract_planner_json(text):
+    """``llm_client.extract_planner_json`` as it parsed every candidate afresh.
+
+    The memoised version must return what this returns, or raise alike, on
+    every text."""
+    found = None
+    for candidate in reference_json_candidates(text or ""):
+        try:
+            doc = json.loads(candidate)
+        except (ValueError, RecursionError):
+            continue
+        if not isinstance(doc, dict):
+            continue
+        values = {}
+        for k in ("v0", "a_max", "s0"):
+            v = doc.get(k)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                break
+            values[k] = float(v)
+        else:
+            found = values
+    if found is None:
+        raise PlannerParseError("no JSON object with numeric v0, a_max, s0")
+    return found
 
 
 def reference_scene_text(scene):

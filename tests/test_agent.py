@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from comal import agent
@@ -36,6 +36,13 @@ def make_scene(**kw):
 
 
 SPEEDS = st.one_of(st.floats(0.0, 40.0), st.sampled_from([-0.0, 0.0, 5.0]))
+# numbers whose two-decimal text is easy to get wrong: ties (x.xx5), -0.0,
+# subnormals, 1e16 and above, nan and infinities
+AWKWARD = st.one_of(
+    st.integers(0, 10**6).map(lambda k: (10 * k + 5) / 1000),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.1e-308, 1e16, 1e16 + 2.0, 1.5e300,
+                     math.nan, math.inf, -math.inf]),
+    st.floats(min_value=1e16))
 VEHICLE_IDS = st.sampled_from(["cav_00", "cav_01", "human_02", "hw_003", "v.x"])
 
 
@@ -51,7 +58,8 @@ def scenes(draw):
         route_length=draw(st.floats(50.0, 1000.0)), cyclic=draw(st.booleans()),
         intersections=draw(st.integers(0, 2)), position_arc=0.0,
         neighbors=tuple(draw(st.lists(st.tuples(
-            VEHICLE_IDS, st.sampled_from(["human", "cav"]), st.floats(0.0, 300.0), SPEEDS),
+            VEHICLE_IDS, st.sampled_from(["human", "cav"]),
+            st.one_of(st.floats(0.0, 300.0), AWKWARD), st.one_of(SPEEDS, AWKWARD)),
             max_size=4))))
 
 
@@ -247,9 +255,12 @@ class TestIndexedPerception:
     @settings(max_examples=80, deadline=None)
     @given(perception_worlds(), st.data())
     def test_one_pass_renders_as_the_per_field_renderer(self, w, data):
-        # speeds set to -0.0, to 0.0 or to one shared value: tables are keyed by row
-        chosen = data.draw(st.lists(st.sampled_from([None, -0.0, 0.0, 4.5, float(w.speed[0])]),
-                                    min_size=w.size, max_size=w.size))
+        # speeds set to -0.0, to 0.0 or to one shared value: tables are keyed by
+        # row; and to awkward numbers, as every speed of the pass is formatted
+        # by one call
+        chosen = data.draw(st.lists(
+            st.one_of(st.sampled_from([None, -0.0, 0.0, 4.5, float(w.speed[0])]), AWKWARD),
+            min_size=w.size, max_size=w.size))
         for i, speed in enumerate(chosen):
             if speed is not None:
                 w.speed[i] = speed
@@ -367,6 +378,12 @@ class _ComparingBackend:
 class TestScriptedReplies:
     @settings(max_examples=150, deadline=None)
     @given(scripted_prompts())
+    # a free road, then a neighbor entry whose gap float() cannot read: the
+    # full parse raised ValueError where the header-first reply needs no neighbors
+    @example("[MAP] scenario=ring; route_length=50.00 m open; speed_limit=30.00 m/s; "
+             "intersections=0\n[EGO] id=cav_00; speed=0.00 m/s; headway=0.00 m; "
+             "leader=none; leader_speed=0.00 m/s\n[NEIGHBORS] none\n"
+             "[NEIGHBORS] x:y gap=1.2.3 m speed=4 m/s\n")
     def test_header_first_replies_match_the_full_parse(self, text):
         backend = ScriptedBackend()
         assert backend._reason_turn(text, "cav_00") == reference_reason_turn(text, "cav_00")
@@ -633,9 +650,18 @@ class TestPlannerClamp:
             return dyn.IdmParams(v0=v0, T=dyn.FIXED_T, a_max=a_max, b=dyn.FIXED_B,
                                  delta=dyn.FIXED_DELTA, s0=s0)
 
+        def json_line(v0, a_max, s0, _limit):
+            v0, a_max, s0 = round(v0, 4), round(a_max, 4), round(s0, 4)
+            return f'{{"v0": {v0!r}, "a_max": {a_max!r}, "s0": {s0!r}}}'
+
         flipped = [tuple(-x if x == 0 else x for x in a) for a in calls]
         for args in [*calls, *[tuple(map(float, a)) for a in calls], *flipped, *calls]:
             assert repr(PlannerSpec.clamped(*args)) == repr(build(*args))
+            assert agent._planner_json(*args[:3]) == json_line(*args)
+            for tag in ("ring", "merge"):
+                free_a = agent.DAMPENER_FREE_A_MAX.get(tag, agent.DAMPENER_FREE_A_MAX_DEFAULT)
+                assert (repr(agent._free_plan(tag, args[3]))
+                        == repr(build(args[3], free_a, 2.0, args[3])))
             # IdmParams refuses a value <= 0 or NaN: both must raise alike then
             assert (repr(outcome(lambda a: execute(PlannerSpec(*a[:3])), args))
                     == repr(outcome(lambda a: merge(*a), args)))

@@ -636,6 +636,8 @@ class TestPerVehicleArrays:
                 row = (w.length[i], w._route_len[i], w._cyclic[i], w._noise_std[i],
                        w.params_of(vid))
                 assert row == added[vid], vid
+                # the record of the installed object follows its vehicle too
+                assert w._installed[i] is added[vid][4], vid
 
         w.add_vehicle = add_distinct
         capacities, set_after_removal = set(), False
@@ -649,7 +651,16 @@ class TestPerVehicleArrays:
                 w.set_params(vid, new)
                 assert w.params_of(vid) == new
                 assert others == {v: w.params_of(v) for v in w.ids if v != vid}
-                added[vid] = added[vid][:4] + (new,)
+                # the very object installed again writes nothing; an equal but
+                # distinct one writes
+                i = w.index_of(vid)
+                w._p["v0"][i] = 99.0
+                w.set_params(vid, new)
+                assert w._p["v0"][i] == 99.0
+                twin = dataclasses.replace(new)
+                w.set_params(vid, twin)
+                assert w.params_of(vid) == new and w._installed[i] is twin
+                added[vid] = added[vid][:4] + (twin,)
                 set_after_removal = True
             if k % 10 == 0:
                 assert_rows_kept()

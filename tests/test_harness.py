@@ -472,6 +472,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="duplicate"):
             sweep(cells, seeds=[0])
 
+    @pytest.mark.parametrize("name", ["Ring 0", "FE 1"])
+    def test_penetration_sweep_needs_a_merge_template(self, name, monkeypatch):
+        # penetration acts only on merge arrivals: every rate would run one world
+        monkeypatch.setattr(harness, "_run_cell", lambda job: pytest.fail("ran"))
+        with pytest.raises(ValueError, match="only on merges"):
+            harness.penetration_sweep(sc.find(name), [0], [0.1, 0.5])
+
 
 class TestMakeBackend:
     def test_remote_needs_config(self):
@@ -541,6 +548,48 @@ class TestCli:
             assert out.exit_code == 2, out.output
             assert "Invalid value for '--config'" in out.output and key in out.output
             assert not (tmp_path / "r").exists()
+
+    def test_run_rejects_an_override_of_the_wrong_type_as_a_usage_error(
+            self, tmp_path, monkeypatch):
+        from click.testing import CliRunner
+        from comal.cli import main
+        monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("ran"))
+        path = tmp_path / "bad.json"
+        for key, value in [("speed_limit", "fast"), ("n_humans", 2.5),
+                           ("perception", "no")]:
+            path.write_text(json.dumps({key: value}), encoding="utf-8")
+            out = CliRunner().invoke(main, ["run", "--scenario", "Ring 0",
+                                            "--config", str(path),
+                                            "--out", str(tmp_path / "r")])
+            assert out.exit_code == 2, out.output
+            assert "Invalid value for '--config'" in out.output and key in out.output
+
+    @pytest.mark.parametrize("args,option", [
+        (["run", "--scenario", "Ring 9", "--out", "r"], "--scenario"),
+        (["sweep", "--scenarios", "Ring 0,Ring 9"], "--scenarios"),
+        (["sweep", "--penetrations", "0.1", "--scenario", "Ring 9"], "--scenario"),
+    ], ids=["run", "sweep-scenarios", "sweep-template"])
+    def test_an_unknown_scenario_is_a_usage_error(self, args, option, monkeypatch):
+        from click.testing import CliRunner
+        from comal.cli import main
+        monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("ran"))
+        out = CliRunner().invoke(main, args)
+        assert out.exit_code == 2, out.output
+        assert f"Invalid value for '{option}'" in out.output
+        assert "unknown scenario 'Ring 9'" in out.output
+
+    @pytest.mark.parametrize("args,message", [
+        (["--penetrations", "0.1", "--scenario", "Ring 0"], "penetration acts only on merges"),
+        (["--scenarios", "Ring 0,Ring 0"], "duplicate sweep labels"),
+        (["--penetrations", "0.1,0.1"], "duplicate sweep labels"),
+    ], ids=["ring-template", "repeated-scenario", "repeated-rate"])
+    def test_a_sweep_that_cannot_run_is_a_usage_error(self, args, message, monkeypatch):
+        from click.testing import CliRunner
+        from comal.cli import main
+        monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("ran"))
+        out = CliRunner().invoke(main, ["sweep", *args])
+        assert out.exit_code == 2, out.output
+        assert message in out.output
 
     def test_run_refuses_to_replay_the_transcript_it_writes(self, tmp_path):
         from click.testing import CliRunner

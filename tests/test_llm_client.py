@@ -18,7 +18,7 @@ from comal.llm_client import (BackendConfig, ChatTurn, LlmConfigError,
                               RecordingBackend, ReplayBackend, TranscriptLog,
                               extract_planner_json)
 
-from helpers import reference_json_candidates
+from helpers import reference_extract_planner_json, reference_json_candidates
 
 TURNS = [ChatTurn("system", "be brief"), ChatTurn("user", "hello")]
 
@@ -180,6 +180,38 @@ class TestValidation:
             BackendConfig(endpoint="x", model="m", max_retries=-1)
 
 
+# brace-heavy text: nested, unbalanced and stray closing braces among JSON bits
+BRACEY_TEXT = st.text(alphabet='{}{}{}"v0:1, a_max\n', max_size=60)
+
+PLANNER_VALUES = st.one_of(
+    st.integers(-10**20, 10**20), st.floats(), st.booleans(), st.none(),
+    st.sampled_from(["1.5", [1], {"v0": 1}, -0.0, 0, 0.0, 1, 1.0]))
+# JSON values nested this deep make json.loads raise RecursionError
+DEEP = st.sampled_from([1, 30, 2000]).map(lambda n: '{"a": ' * n + "1" + "}" * n)
+
+
+@st.composite
+def planner_candidates(draw):
+    """One ``{...}`` candidate: a planner with keys missing, extra, nested or
+    of any JSON type, or deep nesting, or brace-heavy junk."""
+    doc = {k: draw(PLANNER_VALUES) for k in ("v0", "a_max", "s0")
+           if draw(st.integers(0, 5))}
+    if draw(st.booleans()):
+        doc["meta"] = {"v0": draw(PLANNER_VALUES), "deep": [{"s0": 1}]}
+    text = json.dumps(doc, sort_keys=draw(st.booleans()))
+    return draw(st.one_of(st.just(text), DEEP, BRACEY_TEXT,
+                          st.just(text.replace("}", "", 1))))
+
+
+@st.composite
+def planner_replies(draw):
+    """A candidate alone and again inside other text, among other candidates."""
+    candidate = draw(planner_candidates())
+    pieces = draw(st.lists(st.one_of(planner_candidates(), st.text(max_size=8)), max_size=4))
+    at = draw(st.integers(0, len(pieces)))
+    return [candidate, "".join([*pieces[:at], candidate, *pieces[at:]])]
+
+
 class TestExtractPlannerJson:
     def test_direct(self):
         assert extract_planner_json('Sure! {"v0": 8.0, "a_max": 1.5, "s0": 2.0}') == {
@@ -210,6 +242,26 @@ class TestExtractPlannerJson:
         text = '{"meta": {"v0": 9}, "v0": 4, "a_max": 1, "s0": 2}'
         assert extract_planner_json(text)["v0"] == 4.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(planner_replies())
+    def test_memoised_parse_equals_the_reference_loop(self, texts):
+        # every text twice: the second parse reads each candidate from the memo
+        for text in [*texts, *texts]:
+            try:
+                want = ("ok", repr(reference_extract_planner_json(text)))
+            except PlannerParseError:
+                want = ("raised", PlannerParseError)
+            try:
+                got = ("ok", repr(extract_planner_json(text)))
+            except PlannerParseError:
+                got = ("raised", PlannerParseError)
+            assert got == want
+
+    def test_callers_cannot_change_the_memo(self):
+        text = '{"v0": 7, "a_max": 1, "s0": 2}'
+        extract_planner_json(text)["v0"] = -1.0
+        assert extract_planner_json(text) == {"v0": 7.0, "a_max": 1.0, "s0": 2.0}
+
     def test_fuzz_never_crashes(self):
         import random
         rng = random.Random(0)
@@ -221,10 +273,6 @@ class TestExtractPlannerJson:
                 assert set(out) == {"v0", "a_max", "s0"}
             except PlannerParseError:
                 pass
-
-
-# brace-heavy text: nested, unbalanced and stray closing braces among JSON bits
-BRACEY_TEXT = st.text(alphabet='{}{}{}"v0:1, a_max\n', max_size=60)
 
 
 class TestJsonCandidates:

@@ -77,6 +77,37 @@ class TestCatalog:
         with pytest.raises(ValueError, match=key):
             sc.apply_overrides(sc.find("Ring 0"), {key: value})
 
+    # each of these used to pass the checks or fail with a TypeError: a string
+    # where a number belongs, a fractional vehicle count, a flag that is a string
+    @pytest.mark.parametrize("key, value", [
+        ("name", 3), ("topology", None), ("cav_placement", b"even")])
+    def test_a_string_field_takes_only_a_string(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be a string"):
+            sc.apply_overrides(sc.find("Ring 0"), {key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_humans", 2.5), ("n_cavs", "3"), ("seed", True), ("collab_max_rounds", 2.0)])
+    def test_an_integer_field_takes_only_an_integer(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            sc.apply_overrides(sc.find("Ring 0"), {key: value})
+        assert sc.apply_overrides(sc.find("Ring 0"), {key: np.int64(3)}).to_dict()[key] == 3
+
+    @pytest.mark.parametrize("key, value", [
+        ("speed_limit", "fast"), ("noise_std", "x"), ("horizon_s", None),
+        ("dt", False), ("penetration", [0.5])])
+    def test_a_float_field_takes_only_a_number(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
+            sc.apply_overrides(sc.find("Merge 0"), {key: value})
+        # an int and a numpy float are numbers too
+        cfg = sc.apply_overrides(sc.find("Merge 0"), {"speed_limit": 25, "dt": np.float64(0.05)})
+        assert (cfg.speed_limit, cfg.dt) == (25, 0.05)
+
+    @pytest.mark.parametrize("key, value", [
+        ("perception", "no"), ("memory", 0), ("collaboration", 1.0)])
+    def test_a_flag_takes_only_a_bool(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be true or false"):
+            sc.apply_overrides(sc.find("Ring 0"), {key: value})
+
     def test_keeps_the_boundary_values(self):
         cfg = sc.apply_overrides(sc.find("Merge 0"), {
             "perception_horizon_m": 0.0, "collab_max_rounds": 1, "noise_std": 0.0,
