@@ -64,6 +64,44 @@ def _memoized(build):
     return lambda *args: cached(*args) if all(args) else build(*args)
 
 
+# -- the v1 prompt lines -----------------------------------------------------
+
+# unsigned, as float() reads it, to the end of its digits and dots: "1.2.3" is no number
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?!\d|\.)"
+_REAL, _REAL_OR_INF = ("%.2f", _NUMBER), ("%.2f", _NUMBER + "|inf")
+
+
+class _Line:
+    """A line that the prompt protocol both writes and reads, declared once:
+    ``template`` with a ``{name}`` slot per field, each field a ``(%-format,
+    pattern)`` pair. ``format`` is the line as a ``%``-format string and
+    ``pattern`` its compiled regex, one group per field, both in slot order."""
+
+    def __init__(self, template: str, **fields):
+        parts = list(enumerate(re.split(r"\{(\w+)\}", template)))  # literal, field, ...
+        self.format = "".join(fields[p][0] if k % 2 else p for k, p in parts)
+        self.pattern = re.compile("".join(f"({fields[p][1]})" if k % 2 else re.escape(p)
+                                          for k, p in parts))
+
+
+_MAP = _Line("[MAP] scenario={tag}; route_length={route_length} m {shape}; "
+             "speed_limit={speed_limit} m/s; intersections={intersections}",
+             tag=("%s", r"\w+"), route_length=_REAL_OR_INF, shape=("%s", r"\(cyclic\)|open"),
+             speed_limit=_REAL, intersections=("%d", r"\d+"))
+_EGO = _Line("[EGO] id={id}; speed={speed} m/s; headway={headway} m; leader={leader}; "
+             "leader_speed={leader_speed} m/s",
+             id=("%s", r"[^;\s]+"), speed=_REAL, headway=_REAL_OR_INF,
+             leader=("%s", r"[^;\s]+"), leader_speed=_REAL)
+_NEIGHBOR = _Line("{id}:{kind} gap={gap} m speed={speed} m/s",  # one [NEIGHBORS] entry
+                  id=("%s", r"\S+"), kind=("%s", r"\w+"), gap=_REAL, speed=_REAL)
+_STATUS = _Line("status id={id} position={position} speed={speed}",
+                id=("%s", r"\S+"), position=_REAL, speed=_REAL)
+_POSITION = _Line("Route position: {position} m.", position=_REAL)
+_NEIGHBORS_TAG = "[NEIGHBORS]"
+_HEAD, _GAP, _TAIL = _NEIGHBOR.format.partition(_REAL[0])  # around the gap, the first number
+_STATUS_HEAD = _STATUS.format.partition("%")[0]  # "status id="
+
+
 @dataclass(frozen=True)
 class SceneDescription:
     """Deterministic textual rendering of the world around one vehicle.
@@ -95,19 +133,15 @@ class SceneDescription:
     @property
     def ego_text(self) -> str:
         leader = self.leader_id if self.leader_id is not None else "none"
-        return (f"[EGO] id={self.ego_id}; speed={self.ego_speed:.2f} m/s; "
-                f"headway={self.headway:.2f} m; leader={leader}; "
-                f"leader_speed={self.leader_speed:.2f} m/s")
+        return _EGO.format % (self.ego_id, self.ego_speed, self.headway, leader,
+                              self.leader_speed)
 
     @property
     def neighbors_text(self) -> str:
-        """The ``[NEIGHBORS]`` line, from fresh tables keyed by each
-        neighbor's place in ``neighbors``."""
+        """The ``[NEIGHBORS]`` line, each neighbor's row its place in ``neighbors``."""
         nb = self.neighbors
-        rows = range(len(nb))
-        head, tail = _row_tables([n[0] for n in nb], [n[1] for n in nb],
-                                 [n[3] for n in nb], rows)
-        return _neighbors_lines([[(n[2], n[0], k) for k, n in zip(rows, nb)]], head, tail)[0]
+        return _neighbors_lines([[(n[2], n[0], k) for k, n in enumerate(nb)]],
+                                [n[0] for n in nb], [n[1] for n in nb], [n[3] for n in nb])[0]
 
     @functools.cached_property
     def text(self) -> str:
@@ -133,43 +167,37 @@ def _formatted(fmt: str, values) -> list[str]:
     return ("\n".join([fmt] * len(values)) % tuple(values)).split("\n")
 
 
-def _row_tables(ids, kinds, speeds, rows) -> tuple[dict, dict]:
-    """The head (``id:kind gap=``) and tail (`` m speed=… m/s; ``, the
-    separator included) of the neighbor entry of each of ``rows``, which
-    index ``ids``, ``kinds`` and ``speeds``.
-
-    Keyed by row, never by speed: ``-0.0 == 0.0``, yet they render apart."""
-    rows = list(rows)
-    return ({j: f"{ids[j]}:{kinds[j]} gap=" for j in rows},
-            dict(zip(rows, _formatted(" m speed=%.2f m/s; ", [speeds[j] for j in rows]))))
-
-
 def _map_line(tag, route_length, cyclic, speed_limit, intersections) -> str:
     shape = "(cyclic)" if cyclic else "open"
-    return (f"[MAP] scenario={tag}; route_length={route_length:.2f} m {shape}; "
-            f"speed_limit={speed_limit:.2f} m/s; intersections={intersections}")
+    return _MAP.format % (tag, route_length, shape, speed_limit, intersections)
 
 
-def _neighbors_lines(nears, head, tail) -> list[str]:
+def _neighbors_lines(nears, ids, kinds, speeds) -> list[str]:
     """The ``[NEIGHBORS]`` line of each of ``nears``, lists of (gap, id, row)
-    in listing order; ``head`` and ``tail`` are :func:`_row_tables`.
+    in listing order, whose rows index ``ids``, ``kinds`` and ``speeds``.
 
-    Every gap is formatted by one ``"%.2f"`` call, which writes what
-    ``f"{gap:.2f}"`` does. Each line is then one join of its entries'
-    pieces (head, gap, tail), gathered by row from one list."""
+    Each listed row's entry head (``id:kind gap=``) and tail (`` m speed=…
+    m/s; ``, the separator included) is built once, keyed by row, never by
+    speed: ``-0.0 == 0.0``, yet they render apart. All tails are formatted
+    by one ``%`` call, and so are all gaps (:func:`_formatted`). Each line
+    is then one join of its entries' pieces (head, gap, tail), gathered by
+    row from one list."""
     rows = [j for near in nears for _, _, j in near]
+    listed = list(set(rows))
+    head = {j: _HEAD % (ids[j], kinds[j]) for j in listed}
+    tail = dict(zip(listed, _formatted(_TAIL + "; ", [speeds[j] for j in listed])))
     pieces = [""] * (3 * len(rows))
     pieces[0::3] = [head[j] for j in rows]
-    pieces[1::3] = _formatted("%.2f", [gap for near in nears for gap, _, _ in near])
+    pieces[1::3] = _formatted(_GAP, [gap for near in nears for gap, _, _ in near])
     pieces[2::3] = [tail[j] for j in rows]
     lines, at = [], 0
     for near in nears:
         if near:
             end = at + 3 * len(near)
-            lines.append("[NEIGHBORS] " + "".join(pieces[at:end])[:-2])  # the last "; "
+            lines.append(_NEIGHBORS_TAG + " " + "".join(pieces[at:end])[:-2])  # the last "; "
             at = end
         else:
-            lines.append("[NEIGHBORS] none")
+            lines.append(_NEIGHBORS_TAG + " none")
     return lines
 
 
@@ -200,7 +228,7 @@ def perceive_all(world, ego_ids, horizon: float, index=None) -> list[SceneDescri
     their windows of the route's sorted order (see ``_perceive_route``).
     Each scene's text is rendered in the same pass, from the ``[MAP]`` line
     built once per route and from tables built once per pass, keyed by
-    vehicle row, of every listed neighbor's entry (see :func:`_row_tables`).
+    vehicle row, of every listed neighbor's entry (see :func:`_neighbors_lines`).
     """
     egos = []
     for vid in ego_ids:
@@ -218,10 +246,7 @@ def perceive_all(world, ego_ids, horizon: float, index=None) -> list[SceneDescri
         for q, item in zip(members, _perceive_route(
                 world, index, route_id, [egos[q] for q in members], horizon, speed)):
             found[q] = item
-    # the pass's tables, over every row listed as someone's neighbor
-    head, tail = _row_tables(world.ids, world.kinds, speed,
-                             {j for _, _, near in found for _, _, j in near})
-    lines = _neighbors_lines([near for _, _, near in found], head, tail)
+    lines = _neighbors_lines([near for _, _, near in found], world.ids, world.kinds, speed)
     for (scene, map_line, _), line in zip(found, lines):  # fill in each text's cached_property
         vars(scene)["text"] = _render(map_line, scene.ego_text, line)
     return [scene for scene, _, _ in found]
@@ -309,19 +334,6 @@ def _perceive_route(world, index, route_id: str, egos: list[int], horizon: float
     return scenes
 
 
-_MAP_RE = re.compile(
-    r"\[MAP\] scenario=(?P<tag>\w+); route_length=(?P<len>[\d.]+|inf) m "
-    r"(?P<shape>\(cyclic\)|open); speed_limit=(?P<limit>[\d.]+) m/s; "
-    r"intersections=(?P<nx>\d+)")
-_EGO_RE = re.compile(
-    r"\[EGO\] id=(?P<id>[^;\s]+); speed=(?P<speed>[\d.]+) m/s; "
-    r"headway=(?P<headway>[\d.]+|inf) m; leader=(?P<leader>[^;\s]+); "
-    r"leader_speed=(?P<lspeed>[\d.]+) m/s")
-# gaps and speeds only as float() reads them: an entry such as "gap=1.2.3"
-# is no neighbor, so reading the neighbors never raises, whatever the text
-_NEIGHBOR_RE = re.compile(
-    r"(\S+):(\w+) gap=(\d+\.?\d*|\.\d+) m speed=(\d+\.?\d*|\.\d+) m/s")
-_NEIGHBORS_TAG = "[NEIGHBORS]"
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # as str.splitlines
 
 
@@ -341,27 +353,17 @@ def parse_scene_text(text: str) -> SceneDescription | None:
 def _parse_header(text: str) -> SceneDescription | None:
     """The scene of the text's ``[MAP]`` and ``[EGO]`` lines, with no
     neighbors; None when either is missing."""
-    m_map = _MAP_RE.search(text)
-    m_ego = _EGO_RE.search(text)
+    m_map = _MAP.pattern.search(text)
+    m_ego = _EGO.pattern.search(text)
     if not m_map or not m_ego:
         return None
-    tag, route_length, shape, limit, nx = m_map.group("tag", "len", "shape", "limit", "nx")
-    ego_id, speed, headway, leader, leader_speed = m_ego.group(
-        "id", "speed", "headway", "leader", "lspeed")
+    tag, route_length, shape, limit, nx = m_map.groups()
+    ego_id, speed, headway, leader, leader_speed = m_ego.groups()
     return _scene(
-        scenario_tag=tag,
-        ego_id=ego_id,
-        ego_speed=float(speed),
-        headway=float(headway),
-        leader_id=None if leader == "none" else leader,
-        leader_speed=float(leader_speed),
-        speed_limit=float(limit),
-        route_length=float(route_length),
-        cyclic=shape == "(cyclic)",
-        intersections=int(nx),
-        position_arc=0.0,
-        neighbors=(),
-    )
+        scenario_tag=tag, ego_id=ego_id, ego_speed=float(speed), headway=float(headway),
+        leader_id=None if leader == "none" else leader, leader_speed=float(leader_speed),
+        speed_limit=float(limit), route_length=float(route_length), cyclic=shape == "(cyclic)",
+        intersections=int(nx), position_arc=0.0, neighbors=())
 
 
 def _parse_neighbors(text: str) -> tuple[tuple[str, str, float, float], ...]:
@@ -374,7 +376,7 @@ def _parse_neighbors(text: str) -> tuple[tuple[str, str, float, float], ...]:
         rest = text[at:nl if nl >= 0 else None].splitlines()[0]  # to the line's end
         if at == 0 or text[at - 1] in _LINE_BREAKS:
             neighbors += [(vid, kind, float(gap), float(speed))
-                          for vid, kind, gap, speed in _NEIGHBOR_RE.findall(rest)]
+                          for vid, kind, gap, speed in _NEIGHBOR.pattern.findall(rest)]
         at = text.find(_NEIGHBORS_TAG, at + len(rest))
     return tuple(neighbors)
 
@@ -612,7 +614,7 @@ def brainstorm(cav_ids, pool: MessagePool, backend: ReasonBackend,
             scene = scene_per_cav[agent_id]
             system = sys_tpl.format(agent_id=agent_id, participants=participants)
             user = turn_tpl.format(scene=scene.text,
-                                   position=f"{scene.position_arc:.2f}",
+                                   position=_POSITION.format % scene.position_arc,
                                    transcript=pool.rendered(), agent_id=agent_id)
             turns = [ChatTurn("system", system), ChatTurn("user", user)]
             try:
@@ -718,9 +720,7 @@ class ScriptedBackend:
 
     name = "scripted"
 
-    _STATUS_RE = re.compile(r"status id=(\S+) position=([\d.]+) speed=([\d.]+)")
     _ORDER_RE = re.compile(r"Speaking order: (.+?)\.\n", re.S)
-    _POSITION_RE = re.compile(r"Route position: ([\d.]+) m\.")
     _ROLE_RE = re.compile(r"Assigned role: (\w+)\.")
 
     def complete(self, turns, *, agent_id: str, stage: str) -> str:
@@ -732,19 +732,19 @@ class ScriptedBackend:
     def _collaboration_turn(self, text: str, agent_id: str) -> str:
         scene = _parse_header(text)  # the ego's speed and the scenario tag
         m_order = self._ORDER_RE.search(text)
-        m_pos = self._POSITION_RE.search(text)
+        m_pos = _POSITION.pattern.search(text)
         own_pos = float(m_pos.group(1)) if m_pos else 0.0
         own_speed = scene.ego_speed if scene is not None else 0.0
-        status = f"status id={agent_id} position={own_pos:.2f} speed={own_speed:.2f}"
+        status = _STATUS.format % (agent_id, own_pos, own_speed)
         # Every status match starts with "status id=" and none overlap, so the
         # count plus the speaker's own bounds the statuses known; the commas
         # plus one are the participants. Below that, someone is still unheard.
-        if m_order and text.count("status id=") + 1 < m_order.group(1).count(",") + 1:
+        if m_order and text.count(_STATUS_HEAD) + 1 < m_order.group(1).count(",") + 1:
             return status
         participants = ([p.strip() for p in m_order.group(1).split(",")]
                         if m_order else [agent_id])
         statuses = {vid: (float(pos), float(spd))
-                    for vid, pos, spd in self._STATUS_RE.findall(text)}
+                    for vid, pos, spd in _STATUS.pattern.findall(text)}
         statuses[agent_id] = (own_pos, own_speed)
         if len(statuses) < len(participants):
             return status

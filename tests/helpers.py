@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 from hypothesis import strategies as st
@@ -9,9 +10,25 @@ from hypothesis import strategies as st
 from comal import dynamics as dyn
 from comal import network as net
 from comal.llm_client import PlannerParseError
-from comal.agent import (_EGO_RE, _MAP_RE, _NEIGHBOR_RE, ROLES, TERMINATOR,
-                         SceneDescription, ScriptedBackend, allocate_roles,
-                         parse_scene_text, scripted_backend_policy)
+from comal.agent import (ROLES, TERMINATOR, SceneDescription, allocate_roles,
+                         scripted_backend_policy)
+
+# The prompt lines as the references read them, spelled out apart from the
+# declarations in ``agent``, so that a slip in those cannot move both sides
+# of a property. A number is what float() reads, unsigned; a run of digits
+# and dots that float() cannot read is no number at all.
+MAP_RE = re.compile(
+    r"\[MAP\] scenario=(\w+); route_length=(\d+\.?\d*|\.\d+|inf) m (\(cyclic\)|open); "
+    r"speed_limit=(\d+\.?\d*|\.\d+) m/s; intersections=(\d+)")
+EGO_RE = re.compile(
+    r"\[EGO\] id=([^;\s]+); speed=(\d+\.?\d*|\.\d+) m/s; headway=(\d+\.?\d*|\.\d+|inf) m; "
+    r"leader=([^;\s]+); leader_speed=(\d+\.?\d*|\.\d+) m/s")
+NEIGHBOR_RE = re.compile(r"(\S+):(\w+) gap=(\d+\.?\d*|\.\d+) m speed=(\d+\.?\d*|\.\d+) m/s")
+STATUS_RE = re.compile(
+    r"status id=(\S+) position=(\d+\.?\d*|\.\d+) speed=(\d+\.?\d*|\.\d+)(?![\d.])")
+POSITION_RE = re.compile(r"Route position: (\d+\.?\d*|\.\d+) m\.")
+ROLE_RE = re.compile(r"Assigned role: (\w+)\.")
+ORDER_RE = re.compile(r"Speaking order: (.+?)\.\n", re.S)
 
 
 def uniform_ring_world(n=22, length=230.0, speed_limit=30.0, noise_std=0.0,
@@ -191,23 +208,22 @@ def reference_parse_scene_text(text):
     Splits the whole text with ``str.splitlines`` and reads every line that
     starts with ``[NEIGHBORS]``; the parser must agree with it on every str.
     """
-    m_map = _MAP_RE.search(text)
-    m_ego = _EGO_RE.search(text)
+    m_map = MAP_RE.search(text)
+    m_ego = EGO_RE.search(text)
     if not m_map or not m_ego:
         return None
     neighbors = []
     for line in text.splitlines():
         if line.startswith("[NEIGHBORS]"):
-            for vid, kind, gap, speed in _NEIGHBOR_RE.findall(line):
+            for vid, kind, gap, speed in NEIGHBOR_RE.findall(line):
                 neighbors.append((vid, kind, float(gap), float(speed)))
-    leader = m_ego.group("leader")
+    tag, route_length, shape, limit, nx = m_map.groups()
+    ego_id, speed, headway, leader, leader_speed = m_ego.groups()
     return SceneDescription(
-        scenario_tag=m_map.group("tag"), ego_id=m_ego.group("id"),
-        ego_speed=float(m_ego.group("speed")), headway=float(m_ego.group("headway")),
-        leader_id=None if leader == "none" else leader,
-        leader_speed=float(m_ego.group("lspeed")),
-        speed_limit=float(m_map.group("limit")), route_length=float(m_map.group("len")),
-        cyclic=m_map.group("shape") == "(cyclic)", intersections=int(m_map.group("nx")),
+        scenario_tag=tag, ego_id=ego_id, ego_speed=float(speed), headway=float(headway),
+        leader_id=None if leader == "none" else leader, leader_speed=float(leader_speed),
+        speed_limit=float(limit), route_length=float(route_length),
+        cyclic=shape == "(cyclic)", intersections=int(nx),
         position_arc=0.0, neighbors=tuple(neighbors))
 
 
@@ -282,9 +298,9 @@ def reference_reason_turn(text, agent_id):
     The backend reads the neighbors only when the policy will; it must give
     this reply for every text.
     """
-    m_role = ScriptedBackend._ROLE_RE.search(text)
+    m_role = ROLE_RE.search(text)
     role = m_role.group(1) if m_role and m_role.group(1) in ROLES else "wave_dampener"
-    scene = parse_scene_text(text)
+    scene = reference_parse_scene_text(text)
     planner = scripted_backend_policy(role, scene)
     if scene is None:
         note = "No scene available; using the role's default plan."
@@ -300,9 +316,9 @@ def reference_reason_turn(text, agent_id):
 
 def reference_collaboration_turn(text, agent_id):
     """``ScriptedBackend``'s collaboration reply from a full parse of the scene."""
-    scene = parse_scene_text(text)
-    m_order = ScriptedBackend._ORDER_RE.search(text)
-    m_pos = ScriptedBackend._POSITION_RE.search(text)
+    scene = reference_parse_scene_text(text)
+    m_order = ORDER_RE.search(text)
+    m_pos = POSITION_RE.search(text)
     own_pos = float(m_pos.group(1)) if m_pos else 0.0
     own_speed = scene.ego_speed if scene is not None else 0.0
     status = f"status id={agent_id} position={own_pos:.2f} speed={own_speed:.2f}"
@@ -311,7 +327,7 @@ def reference_collaboration_turn(text, agent_id):
     participants = ([p.strip() for p in m_order.group(1).split(",")]
                     if m_order else [agent_id])
     statuses = {vid: (float(pos), float(spd))
-                for vid, pos, spd in ScriptedBackend._STATUS_RE.findall(text)}
+                for vid, pos, spd in STATUS_RE.findall(text)}
     statuses[agent_id] = (own_pos, own_speed)
     if len(statuses) < len(participants):
         return status

@@ -43,7 +43,23 @@ AWKWARD = st.one_of(
     st.sampled_from([-0.0, 5e-324, -5e-324, 1.1e-308, 1e16, 1e16 + 2.0, 1.5e300,
                      math.nan, math.inf, -math.inf]),
     st.floats(min_value=1e16))
+UNSIGNED_AWKWARD = AWKWARD.filter(lambda x: math.isfinite(x) and math.copysign(1.0, x) > 0.0)
+TIES = st.integers(0, 150_000).map(lambda k: (10 * k + 5) / 1000)  # x.xx5
 VEHICLE_IDS = st.sampled_from(["cav_00", "cav_01", "human_02", "hw_003", "v.x"])
+
+
+def as_rendered(scene):
+    """``scene`` as its text reads back: every number at its two decimals,
+    and no route arc."""
+    def r(x):
+        return float(f"{x:.2f}")
+
+    return dataclasses.replace(
+        scene, ego_speed=r(scene.ego_speed), headway=r(scene.headway),
+        leader_speed=r(scene.leader_speed), speed_limit=r(scene.speed_limit),
+        route_length=r(scene.route_length), position_arc=0.0,
+        neighbors=tuple((vid, kind, r(gap), r(speed))
+                        for vid, kind, gap, speed in scene.neighbors))
 
 
 @st.composite
@@ -300,6 +316,27 @@ SCENE_TEXTS = st.lists(
     max_size=24).map("".join)
 
 
+GOOD_SCENE = "\n".join(SCENE_PIECES[:2] + ["[NEIGHBORS] none"])
+# a number float() cannot read in each line the protocol reads back: the
+# scripted backend raised ValueError on each, and now reads no such line
+MALFORMED = [
+    GOOD_SCENE.replace("speed=5.00", "speed=1.2.3", 1),
+    GOOD_SCENE.replace("route_length=230.00", "route_length=1.2.3"),
+    GOOD_SCENE + "\nRoute position: 1.2.3 m.",
+    GOOD_SCENE + "\nstatus id=cav_01 position=1.2.3 speed=4.00",
+    # at the line's end, a number stops where its digits and dots do
+    "Speaking order: cav_00, cav_01.\n" + GOOD_SCENE
+    + "\nstatus id=cav_01 position=3.00 speed=1.2.3",
+]
+
+
+def malformed_examples(test):
+    """``test`` with an ``@example`` for each of :data:`MALFORMED`."""
+    for text in MALFORMED:
+        test = example(text)(test)
+    return test
+
+
 def outcome(fn, text):
     try:
         return "ok", fn(text)
@@ -310,8 +347,30 @@ def outcome(fn, text):
 class TestParseSceneText:
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(SCENE_TEXTS, st.text(max_size=60)))
+    @malformed_examples
     def test_matches_the_line_by_line_parser(self, text):
         assert outcome(parse_scene_text, text) == outcome(reference_parse_scene_text, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(perception_worlds(), st.data())
+    def test_reads_back_every_rendered_scene(self, w, data):
+        # one more vehicle at an awkward gap ahead of the first, and awkward speeds
+        rid = w.route_ids[0]
+        route = w.network.route(rid)
+        arc = float(w.arc[0]) + 5.0 + data.draw(st.one_of(st.floats(0.0, 150.0), TIES))
+        if route.cyclic or arc < route.length:
+            w.add_vehicle(dyn.VehicleState(
+                id="ahead", route_id=rid, speed=0.0, length=5.0, kind="human",
+                position=w.network.arc_to_lane(rid, arc % route.length),
+                active_params=dyn.human_params(30.0)), 0.0)
+        for i, speed in enumerate(data.draw(st.lists(st.one_of(st.none(), UNSIGNED_AWKWARD),
+                                                     min_size=w.size, max_size=w.size))):
+            if speed is not None:
+                w.speed[i] = speed
+        for scene in perceive_all(w, w.ids, 700.0):
+            # an overlap ahead is a negative headway, and a sign reads as no number
+            fits = math.copysign(1.0, scene.headway) > 0.0
+            assert parse_scene_text(scene.text) == (as_rendered(scene) if fits else None)
 
     @pytest.mark.parametrize("brk", LINE_BREAKS)
     def test_every_line_boundary(self, brk):
@@ -384,6 +443,7 @@ class TestScriptedReplies:
              "intersections=0\n[EGO] id=cav_00; speed=0.00 m/s; headway=0.00 m; "
              "leader=none; leader_speed=0.00 m/s\n[NEIGHBORS] none\n"
              "[NEIGHBORS] x:y gap=1.2.3 m speed=4 m/s\n")
+    @malformed_examples
     def test_header_first_replies_match_the_full_parse(self, text):
         backend = ScriptedBackend()
         assert backend._reason_turn(text, "cav_00") == reference_reason_turn(text, "cav_00")
@@ -716,6 +776,16 @@ class TestReason:
         assert flags.backend_errors == 2
         assert flags.planner_fallbacks == 1
         assert 0 < planner.v0 <= 30.0
+
+    @pytest.mark.parametrize("good, bad", [("speed=5.00", "speed=1.2.3"),
+                                           ("route_length=230.00", "route_length=1.2.3")])
+    def test_a_malformed_number_is_no_backend_error(self, good, bad):
+        scene = make_scene()
+        vars(scene)["text"] = scene.text.replace(good, bad, 1)
+        flags = RunFlags()
+        planner = reason("wave_dampener", scene, [], ScriptedBackend(), flags=flags)
+        assert flags == RunFlags()  # backend_errors == 0, and no other degraded path
+        assert planner == scripted_backend_policy("wave_dampener", None, speed_limit=30.0)
 
     def test_experiences_reach_the_prompt(self):
         seen = {}

@@ -11,9 +11,10 @@ would not notice a scene that lists a wrong neighbor or misorders them.
 agent id, the stage, each request turn's role and content, and the reply,
 as a recording backend logs them minus the timestamp and latency. It pins
 the prompts and replies that the exports only see through the planner.
-``seeds 1-2`` holds the ``metrics.json`` and ``trajectories.csv`` digests
-of the merge scenarios at seeds 1 and 2: the seed changes which vehicles
-arrive when, and so how the world's vehicle table grows and compacts.
+``seeds 1-4`` holds the ``metrics.json``, ``trajectories.csv`` and
+``transcript`` digests of every catalog scenario at seeds 1 to 4: the seed
+moves the humans' noise, and on a merge which vehicles arrive when, and so
+how the world's vehicle table grows and compacts.
 A refactor that moves any bit of these fails here; a change that means to
 move them must regenerate the digests and say why.
 """
@@ -30,7 +31,7 @@ from comal.llm_client import RecordingBackend
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_digests.json")
                     .read_text(encoding="utf-8"))
-MERGE_SEEDS = GOLDEN.pop("seeds 1-2")  # scenario -> seed -> export digests
+MORE_SEEDS = GOLDEN.pop("seeds 1-4")  # scenario -> seed -> export and transcript digests
 SCENES = "scenes"
 TRANSCRIPT = "transcript"
 
@@ -46,6 +47,17 @@ class _DigestLog:
         self.digest.update((json.dumps(kept, sort_keys=True) + "\n").encode())
 
 
+def run_digests(cfg, out_dir) -> dict:
+    """Run ``cfg`` with the scripted backend; digest its exports and calls."""
+    log = _DigestLog()
+    result = harness.run(cfg, RecordingBackend(ScriptedBackend(), log, run_id="golden"))
+    paths = harness.export(result, out_dir)
+    got = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+           for p in paths.values()}
+    got[TRANSCRIPT] = log.digest.hexdigest()
+    return got
+
+
 def catalog_digests(name, out_dir, monkeypatch) -> dict:
     """Run one catalog scenario at seed 0; digest its exports, scenes and calls."""
     scenes = hashlib.sha256()
@@ -58,24 +70,25 @@ def catalog_digests(name, out_dir, monkeypatch) -> dict:
         return found
 
     monkeypatch.setattr(agent, "perceive_all", digesting)
-    log = _DigestLog()
-    backend = RecordingBackend(ScriptedBackend(), log, run_id="golden")
-    result = harness.run(sc.find(name).replace(seed=0), backend)
-    paths = harness.export(result, out_dir)
-    got = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
-           for p in paths.values()}
+    got = run_digests(sc.find(name).replace(seed=0), out_dir)
     got[SCENES] = scenes.hexdigest()
-    got[TRANSCRIPT] = log.digest.hexdigest()
     return got
 
 
+def more_seeds(merge: bool) -> list[tuple[str, str]]:
+    """(scenario, seed) of every ``seeds 1-4`` run, merges or the others."""
+    return [(name, seed) for name in sorted(MORE_SEEDS)
+            if (sc.find(name).topology == "merge") == merge
+            for seed in sorted(MORE_SEEDS[name])]
+
+
 def test_golden_covers_the_catalog():
-    assert sorted(GOLDEN) == sorted(cfg.name for cfg in sc.catalog())
+    assert sorted(GOLDEN) == sorted(MORE_SEEDS) == sorted(cfg.name for cfg in sc.catalog())
     assert all(set(d) == {"metrics.json", "trajectories.csv", SCENES, TRANSCRIPT}
                for d in GOLDEN.values())
-    merges = sorted(cfg.name for cfg in sc.catalog() if cfg.topology == "merge")
-    assert {name: sorted(by_seed) for name, by_seed in MERGE_SEEDS.items()} == {
-        name: ["1", "2"] for name in merges}
+    assert all(sorted(by_seed) == ["1", "2", "3", "4"] and all(
+        set(d) == {"metrics.json", "trajectories.csv", TRANSCRIPT} for d in by_seed.values())
+        for by_seed in MORE_SEEDS.values())
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -83,11 +96,13 @@ def test_catalog_exports_byte_identical(name, tmp_path, monkeypatch):
     assert catalog_digests(name, tmp_path, monkeypatch) == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name, seed", [(name, seed) for name in sorted(MERGE_SEEDS)
-                                        for seed in sorted(MERGE_SEEDS[name])])
+@pytest.mark.parametrize("name, seed", more_seeds(merge=True))
 def test_merge_exports_byte_identical_at_more_seeds(name, seed, tmp_path):
-    result = harness.run(sc.find(name).replace(seed=int(seed)), ScriptedBackend())
-    paths = harness.export(result, tmp_path)
-    got = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
-           for p in paths.values()}
-    assert got == MERGE_SEEDS[name][seed]
+    cfg = sc.find(name).replace(seed=int(seed))
+    assert run_digests(cfg, tmp_path) == MORE_SEEDS[name][seed]
+
+
+@pytest.mark.parametrize("name, seed", more_seeds(merge=False))
+def test_rings_and_figure_eights_byte_identical_at_more_seeds(name, seed, tmp_path):
+    cfg = sc.find(name).replace(seed=int(seed))
+    assert run_digests(cfg, tmp_path) == MORE_SEEDS[name][seed]

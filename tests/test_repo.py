@@ -101,3 +101,13 @@ def test_the_package_data_check_sees_what_it_must():
     assert experiences
     assert unpackaged(PACKAGE, [g for g in globs if g != "experiences/*.json"]) == experiences
     assert unpackaged(PACKAGE, []) >= experiences | {"templates/v1/reason_user.txt"}
+
+
+def test_no_number_class_in_the_package():
+    # a number in prompt text is read as float() reads it, by one shared
+    # pattern; a class such as [\d.] takes "1.2.3", on which float() raises
+    number_class = re.compile(r"\[(?:\\d|0-9)\.|\[\.(?:\\d|0-9)")
+    found = [f"{p.name}:{n}" for p in sorted(PACKAGE.glob("*.py"))
+             for n, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1)
+             if number_class.search(line)]
+    assert found == []
