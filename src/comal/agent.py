@@ -69,6 +69,7 @@ def _memoized(build):
 # unsigned, as float() reads it, to the end of its digits and dots: "1.2.3" is no number
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?!\d|\.)"
 _REAL, _REAL_OR_INF = ("%.2f", _NUMBER), ("%.2f", _NUMBER + "|inf")
+_HEADWAY = ("%.2f", "-?" + _NUMBER + "|inf")  # negative where the ego overlaps its leader
 
 
 class _Line:
@@ -90,7 +91,7 @@ _MAP = _Line("[MAP] scenario={tag}; route_length={route_length} m {shape}; "
              speed_limit=_REAL, intersections=("%d", r"\d+"))
 _EGO = _Line("[EGO] id={id}; speed={speed} m/s; headway={headway} m; leader={leader}; "
              "leader_speed={leader_speed} m/s",
-             id=("%s", r"[^;\s]+"), speed=_REAL, headway=_REAL_OR_INF,
+             id=("%s", r"[^;\s]+"), speed=_REAL, headway=_HEADWAY,
              leader=("%s", r"[^;\s]+"), leader_speed=_REAL)
 _NEIGHBOR = _Line("{id}:{kind} gap={gap} m speed={speed} m/s",  # one [NEIGHBORS] entry
                   id=("%s", r"\S+"), kind=("%s", r"\w+"), gap=_REAL, speed=_REAL)
@@ -159,14 +160,6 @@ def _scene(**fields) -> SceneDescription:
     return scene
 
 
-def _formatted(fmt: str, values) -> list[str]:
-    """``fmt % v`` for each of ``values``, formatted by one ``%`` call;
-    ``fmt`` takes one number and holds no line break."""
-    if not values:
-        return []
-    return ("\n".join([fmt] * len(values)) % tuple(values)).split("\n")
-
-
 def _map_line(tag, route_length, cyclic, speed_limit, intersections) -> str:
     shape = "(cyclic)" if cyclic else "open"
     return _MAP.format % (tag, route_length, shape, speed_limit, intersections)
@@ -178,17 +171,16 @@ def _neighbors_lines(nears, ids, kinds, speeds) -> list[str]:
 
     Each listed row's entry head (``id:kind gap=``) and tail (`` m speed=…
     m/s; ``, the separator included) is built once, keyed by row, never by
-    speed: ``-0.0 == 0.0``, yet they render apart. All tails are formatted
-    by one ``%`` call, and so are all gaps (:func:`_formatted`). Each line
-    is then one join of its entries' pieces (head, gap, tail), gathered by
-    row from one list."""
+    speed: ``-0.0 == 0.0``, yet they render apart. Each line is then one
+    join of its entries' pieces (head, gap, tail), gathered by row from one
+    list."""
     rows = [j for near in nears for _, _, j in near]
-    listed = list(set(rows))
+    listed = set(rows)
     head = {j: _HEAD % (ids[j], kinds[j]) for j in listed}
-    tail = dict(zip(listed, _formatted(_TAIL + "; ", [speeds[j] for j in listed])))
+    tail = {j: (_TAIL + "; ") % speeds[j] for j in listed}
     pieces = [""] * (3 * len(rows))
     pieces[0::3] = [head[j] for j in rows]
-    pieces[1::3] = _formatted(_GAP, [gap for near in nears for gap, _, _ in near])
+    pieces[1::3] = [_GAP % gap for near in nears for gap, _, _ in near]
     pieces[2::3] = [tail[j] for j in rows]
     lines, at = [], 0
     for near in nears:
@@ -468,16 +460,14 @@ class MessagePool:
 
     def __init__(self):
         self.messages: list[Message] = []
-        self._rendered = "(none yet)"
 
     def publish(self, message: Message) -> None:
-        line = f"{message.sender} (round {message.round}): {message.content}"
-        self._rendered = f"{self._rendered}\n{line}" if self.messages else line
         self.messages.append(message)
 
     def rendered(self) -> str:
-        """The transcript so far, one line per message, kept up to date by publish."""
-        return self._rendered
+        """The transcript so far, one line per message."""
+        return "\n".join([f"{m.sender} (round {m.round}): {m.content}"
+                          for m in self.messages]) or "(none yet)"
 
 
 @dataclass(frozen=True)
@@ -493,7 +483,14 @@ class RoleAssignment:
 
 @dataclass(frozen=True)
 class PlannerSpec:
-    """The tunable controller triple emitted by the reason engine."""
+    """The tunable controller triple emitted by the reason engine.
+
+    Its car-following parameters and its JSON line are built on first use
+    and kept with the instance. :meth:`clamped` hands back one memoised
+    instance per planner, so replans, which repeat a few hundred planners,
+    build each form about once; a planner built from a zero argument is a
+    fresh instance, with forms of its own.
+    """
 
     v0: float
     a_max: float
@@ -503,6 +500,19 @@ class PlannerSpec:
     def clamped(v0: float, a_max: float, s0: float, speed_limit: float) -> "PlannerSpec":
         """Force arbitrary numbers into the legal planner box."""
         return _clamped(v0, a_max, s0, speed_limit)
+
+    @functools.cached_property
+    def params(self) -> dyn.IdmParams:
+        """The triple merged with the fixed car-following constants."""
+        return dyn.IdmParams(v0=self.v0, T=dyn.FIXED_T, a_max=self.a_max, b=dyn.FIXED_B,
+                             delta=dyn.FIXED_DELTA, s0=self.s0)
+
+    @functools.cached_property
+    def json_line(self) -> str:
+        """The planner's JSON line, as ``json.dumps`` writes it: a clamped
+        planner holds finite numbers only."""
+        v0, a_max, s0 = round(self.v0, 4), round(self.a_max, 4), round(self.s0, 4)
+        return f'{{"v0": {v0!r}, "a_max": {a_max!r}, "s0": {s0!r}}}'
 
 
 @_memoized  # replans repeat a few hundred planners
@@ -680,8 +690,9 @@ def _policy(role: str, scene: SceneDescription | None, limit: float,
         return PlannerSpec.clamped(v0, 1.0, 2.0, limit)
     # wave dampener
     tag = scene.scenario_tag if scene is not None else "ring"
-    if not congested:
-        return _free_plan(tag, limit)
+    if not congested:  # a free road: the limit, at scenario-tuned acceleration
+        free_a = DAMPENER_FREE_A_MAX.get(tag, DAMPENER_FREE_A_MAX_DEFAULT)
+        return PlannerSpec.clamped(limit, free_a, 2.0, limit)
     if scene.neighbors:
         target = sum(n[3] for n in scene.neighbors) / len(scene.neighbors)
     else:
@@ -689,22 +700,6 @@ def _policy(role: str, scene: SceneDescription | None, limit: float,
     floor = DAMPENER_FLOOR.get(tag, DAMPENER_FLOOR_DEFAULT)
     return PlannerSpec.clamped(max(floor, target - DAMPENER_PACE_MARGIN),
                                1.0, 2.0, limit)
-
-
-@_memoized  # most reason turns of a run drive a free road under one limit
-def _free_plan(tag: str, limit: float) -> PlannerSpec:
-    """The wave dampener's plan on a free road: the limit, at scenario-tuned
-    acceleration."""
-    free_a = DAMPENER_FREE_A_MAX.get(tag, DAMPENER_FREE_A_MAX_DEFAULT)
-    return PlannerSpec.clamped(limit, free_a, 2.0, limit)
-
-
-@_memoized  # one line per planner, and replies repeat a few hundred planners
-def _planner_json(v0: float, a_max: float, s0: float) -> str:
-    """The planner's JSON line, as ``json.dumps`` writes it: a clamped
-    planner holds finite numbers only."""
-    v0, a_max, s0 = round(v0, 4), round(a_max, 4), round(s0, 4)
-    return f'{{"v0": {v0!r}, "a_max": {a_max!r}, "s0": {s0!r}}}'
 
 
 class ScriptedBackend:
@@ -774,7 +769,7 @@ class ScriptedBackend:
         else:
             note = (f"Leader {scene.leader_id} at {scene.headway:.2f} m doing "
                     f"{scene.leader_speed:.2f} m/s.")
-        return f"Role {role}. {note}\n{_planner_json(planner.v0, planner.a_max, planner.s0)}"
+        return f"Role {role}. {note}\n{planner.json_line}"
 
 
 # -- reasoning and execution --------------------------------------------------
@@ -791,28 +786,23 @@ def _reason_system_turn() -> ChatTurn:
 
 def reason(role: str, scene: SceneDescription | None, experiences,
            backend: ReasonBackend, *, speed_limit: float | None = None,
-           retries: int = 2, flags: RunFlags | None = None,
-           experience_text: str | None = None) -> PlannerSpec:
+           retries: int = 2, flags: RunFlags | None = None) -> PlannerSpec:
     """Run the four-stage reasoning chain and extract the planner triple.
 
     The staged prompt (role clarification, scene understanding, motion
     instruction, planner generation) goes out as one completion; the reply
     must contain a JSON planner object. After ``retries`` extra attempts
     the role's scripted default applies and the run is flagged.
-    ``experience_text``, when given, is ``render_experiences(experiences)``,
-    rendered once by a caller that reasons for many vehicles.
     """
     flags = flags if flags is not None else RunFlags()
     limit = speed_limit if speed_limit is not None else (
         scene.speed_limit if scene is not None else 30.0)
     agent_id = scene.ego_id if scene is not None else "ego"
-    if experience_text is None:
-        experience_text = render_experiences(experiences)
     user = _template("reason_user.txt").format(
         agent_id=agent_id, role=role,
         rationale="Act accordingly.",
         scene=scene.text if scene is not None else "(scene unavailable)",
-        experiences=experience_text)
+        experiences=render_experiences(experiences))
     turns = [_reason_system_turn(), ChatTurn("user", user)]
     for _ in range(retries + 1):
         try:
@@ -832,10 +822,4 @@ def reason(role: str, scene: SceneDescription | None, experiences,
 
 def execute(planner: PlannerSpec) -> dyn.IdmParams:
     """Merge the planner triple with the fixed car-following constants."""
-    return _idm_params(planner.v0, planner.a_max, planner.s0)
-
-
-@_memoized  # parameters are frozen, and replans install a few hundred planners
-def _idm_params(v0, a_max, s0) -> dyn.IdmParams:
-    return dyn.IdmParams(v0=v0, T=dyn.FIXED_T, a_max=a_max, b=dyn.FIXED_B,
-                         delta=dyn.FIXED_DELTA, s0=s0)
+    return planner.params

@@ -61,7 +61,7 @@ _COLUMNS: dict[str, tuple[type, tuple[int, ...]]] = {
     "_noise_pos": (np.intp, ()),  # next draw, _NOISE_BLOCK once used up; 0 if noise-free
     **dict.fromkeys(_PARAM_KEYS, (np.float64, ())),
 }
-_LISTS = ("ids", "route_ids", "kinds", "noise", "_installed")  # per-vehicle Python objects
+_LISTS = ("ids", "route_ids", "kinds", "noise")  # per-vehicle Python objects
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,6 @@ class World:
         self.route_ids: list[str] = []
         self.kinds: list[str] = []
         self.noise: list[NoiseModel] = []
-        self._installed: list[IdmParams] = []  # the object each row's parameters came from
         self._store = {name: np.empty((0, *shape), dtype)
                        for name, (dtype, shape) in _COLUMNS.items()}
         self._bind()
@@ -317,7 +316,6 @@ class World:
         self.reservations = {cp.id: _Reservation() for cp in network.conflict_points}
         self.inflows: list[_Inflow] = []
         self.removed_count = 0
-        self._gaps_checked = True  # no gap written since the last _check_gaps
 
     # -- construction ------------------------------------------------------
 
@@ -353,9 +351,7 @@ class World:
         self.route_ids.append(state.route_id)
         self.kinds.append(state.kind)
         self.noise.append(NoiseModel(noise_std, self._seedseq.spawn(1)[0]))
-        self._installed.append(state.active_params)
         self._bind()
-        self._gaps_checked = False
 
     def _bind(self) -> None:
         """Rebind every column attribute as a view of its first ``size`` rows."""
@@ -384,16 +380,10 @@ class World:
         return [vid for vid, kind in zip(self.ids, self.kinds) if kind == "cav"]
 
     def set_params(self, vehicle_id: str, params: IdmParams) -> None:
-        """Install new planner parameters; takes effect from the next step.
-
-        Installing the very object the row already holds writes nothing:
-        parameters are frozen, and replans reinstall a few hundred planners."""
+        """Install new planner parameters; takes effect from the next step."""
         i = self._index[vehicle_id]
-        if self._installed[i] is params:
-            return
         for key in self._p:
             self._p[key][i] = getattr(params, key)
-        self._installed[i] = params
 
     # -- leader links ------------------------------------------------------
 
@@ -407,7 +397,6 @@ class World:
             raise ValueError(f"set_links needs {self.size} leader indices and gaps")
         self.lead_idx[:] = lead_idx
         self.gap[:] = gap
-        self._gaps_checked = False
 
     def route_index(self) -> RouteIndex:
         """Sort the vehicles present on each route by their arc along it.
@@ -449,7 +438,6 @@ class World:
         """
         self.lead_idx[:] = -1
         self.gap[:] = np.inf
-        self._gaps_checked = False
         index = index or self.route_index()
         for code, route in enumerate(self.network.routes.values()):
             order = index.order[route.id]
@@ -599,7 +587,6 @@ class World:
         linked = (self.lead_idx >= 0) & keep[self.lead_idx]
         self.lead_idx[:] = np.where(linked, np.cumsum(keep)[self.lead_idx] - 1, -1)
         self.gap[~linked] = np.inf
-        self._gaps_checked = False
         self._index = {vid: i for i, vid in enumerate(self.ids)}
 
     def _check_gaps(self) -> None:
@@ -609,7 +596,6 @@ class World:
             j = int(self.lead_idx[i])
             leader = self.ids[j] if j >= 0 else "<none>"
             raise CollisionError(self.time, self.ids[i], leader, float(self.gap[i]))
-        self._gaps_checked = True
 
 
 def step(world: World, dt: float) -> None:
@@ -620,9 +606,7 @@ def step(world: World, dt: float) -> None:
     speed update with failsafe cap, position advance, incremental gap
     update, collision check, sink removal. Links, gating and spawning read
     one route index per step, built again only after a spawn; a ring
-    without conflict points builds none. The gaps are checked before the
-    step too, but only when something wrote them since the last check:
-    ``set_links``, ``rebuild_links``, ``add_vehicle`` or a removal.
+    without conflict points builds none.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -645,8 +629,7 @@ def step(world: World, dt: float) -> None:
     has_lead = lead >= 0
     lead_speed = np.where(has_lead, v[lead], v)
     gap = np.where(has_lead, world.gap, np.inf)
-    if not world._gaps_checked:  # links or rows changed since the last check
-        world._check_gaps()
+    world._check_gaps()
 
     dv = v - lead_speed
     acc = kernels.idm_acceleration(v, dv, gap, **world._p)

@@ -17,9 +17,7 @@ import json
 import math
 import operator
 import os
-import secrets
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,17 +181,14 @@ class AgentPipeline:
         cavs = sorted(world.cav_ids())
         # planner updates leave positions alone: one pass perceives every CAV
         scenes = self._scenes(world, cavs) if self.cfg.perception else [None] * len(cavs)
-        recalled: dict[str, tuple[list, str]] = {}  # role -> experiences, their text
+        recalled: dict[str, list] = {}  # role -> experiences
         for vid, scene in zip(cavs, scenes):
             role = self.roles.setdefault(vid, DEFAULT_ROLE)
             if role not in recalled:
-                experiences = (agent_mod.recall(self.memory, self.cfg.topology, role)
-                               if self.cfg.memory else [])
-                recalled[role] = experiences, agent_mod.render_experiences(experiences)
-            experiences, exp_text = recalled[role]
-            planner = agent_mod.reason(role, scene, experiences, self.backend,
-                                       speed_limit=self.cfg.speed_limit,
-                                       flags=self.flags, experience_text=exp_text)
+                recalled[role] = (agent_mod.recall(self.memory, self.cfg.topology, role)
+                                  if self.cfg.memory else [])
+            planner = agent_mod.reason(role, scene, recalled[role], self.backend,
+                                       speed_limit=self.cfg.speed_limit, flags=self.flags)
             world.set_params(vid, agent_mod.execute(planner))
             self.planner_log.append({
                 "time": time, "agent_id": vid, "role": role,
@@ -265,7 +260,7 @@ def _atomic_write(directory, filename: str, write_fn) -> str:
     # O_BINARY, where it exists, keeps the OS from translating the "\r\n" rows
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     while True:  # a fresh name, as mkstemp picks one, but not its mode 0o600
-        tmp = os.path.join(directory, f".{filename}.{secrets.token_hex(4)}.tmp")
+        tmp = os.path.join(directory, f".{filename}.{os.urandom(4).hex()}.tmp")
         try:
             fd = os.open(tmp, flags, 0o666)
             break
@@ -461,6 +456,8 @@ def sweep(cells: list[SweepCell], seeds, workers: int = 1) -> SweepTable:
         raise ValueError(f"duplicate sweep labels: {dupes}")
     jobs = [(cell.label, cell.config.replace(seed=seed)) for cell in cells for seed in seeds]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: most sweeps are sequential
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, jobs))
     else:

@@ -16,12 +16,14 @@ from comal.agent import (ROLES, TERMINATOR, SceneDescription, allocate_roles,
 # The prompt lines as the references read them, spelled out apart from the
 # declarations in ``agent``, so that a slip in those cannot move both sides
 # of a property. A number is what float() reads, unsigned; a run of digits
-# and dots that float() cannot read is no number at all.
+# and dots that float() cannot read is no number at all. Only the headway
+# is signed: an ego that overlaps its leader has a negative one.
 MAP_RE = re.compile(
     r"\[MAP\] scenario=(\w+); route_length=(\d+\.?\d*|\.\d+|inf) m (\(cyclic\)|open); "
     r"speed_limit=(\d+\.?\d*|\.\d+) m/s; intersections=(\d+)")
 EGO_RE = re.compile(
-    r"\[EGO\] id=([^;\s]+); speed=(\d+\.?\d*|\.\d+) m/s; headway=(\d+\.?\d*|\.\d+|inf) m; "
+    r"\[EGO\] id=([^;\s]+); speed=(\d+\.?\d*|\.\d+) m/s; "
+    r"headway=(-?(?:\d+\.?\d*|\.\d+)|inf) m; "
     r"leader=([^;\s]+); leader_speed=(\d+\.?\d*|\.\d+) m/s")
 NEIGHBOR_RE = re.compile(r"(\S+):(\w+) gap=(\d+\.?\d*|\.\d+) m speed=(\d+\.?\d*|\.\d+) m/s")
 STATUS_RE = re.compile(

@@ -310,6 +310,8 @@ SCENE_PIECES = [
     "[NEIGHBORS]", "[NEIGHBORS] ", "[NEIGHBORS] none", "none",
     "human_01:human gap=110.00 m speed=5.00 m/s", "cav_02:cav gap=3.5 m speed=0.25 m/s",
     "a:b:c gap=1 m speed=2 m/s", "x:y gap=1.2.3 m speed=4 m/s", "m/s", "; ", " ", ":",
+    "[EGO] id=cav_00; speed=5.00 m/s; headway=-3.00 m; leader=human_01; "
+    "leader_speed=5.00 m/s",
 ]
 SCENE_TEXTS = st.lists(
     st.one_of(st.sampled_from(SCENE_PIECES + LINE_BREAKS), st.text(max_size=6)),
@@ -368,9 +370,8 @@ class TestParseSceneText:
             if speed is not None:
                 w.speed[i] = speed
         for scene in perceive_all(w, w.ids, 700.0):
-            # an overlap ahead is a negative headway, and a sign reads as no number
-            fits = math.copysign(1.0, scene.headway) > 0.0
-            assert parse_scene_text(scene.text) == (as_rendered(scene) if fits else None)
+            # an overlap ahead is a negative headway, which reads back too
+            assert parse_scene_text(scene.text) == as_rendered(scene)
 
     @pytest.mark.parametrize("brk", LINE_BREAKS)
     def test_every_line_boundary(self, brk):
@@ -701,30 +702,28 @@ class TestPlannerClamp:
     def test_memos_match_uncached_construction(self, calls):
         # each call as drawn, with floats, with its zeros' signs flipped, then as
         # drawn again: a memo keyed without types or signs would hand back the
-        # other kind's result
+        # other kind's planner, and with it that planner's parameters and line
         def build(v0, a_max, s0, limit):
             return PlannerSpec(agent._box(v0, 0.1, limit), agent._box(a_max, 0.1, 3.0),
                                agent._box(s0, 0.5, 10.0))
 
-        def merge(v0, a_max, s0, _limit):
+        def merge(v0, a_max, s0):
             return dyn.IdmParams(v0=v0, T=dyn.FIXED_T, a_max=a_max, b=dyn.FIXED_B,
                                  delta=dyn.FIXED_DELTA, s0=s0)
 
-        def json_line(v0, a_max, s0, _limit):
+        def json_line(v0, a_max, s0):
             v0, a_max, s0 = round(v0, 4), round(a_max, 4), round(s0, 4)
             return f'{{"v0": {v0!r}, "a_max": {a_max!r}, "s0": {s0!r}}}'
 
         flipped = [tuple(-x if x == 0 else x for x in a) for a in calls]
         for args in [*calls, *[tuple(map(float, a)) for a in calls], *flipped, *calls]:
-            assert repr(PlannerSpec.clamped(*args)) == repr(build(*args))
-            assert agent._planner_json(*args[:3]) == json_line(*args)
-            for tag in ("ring", "merge"):
-                free_a = agent.DAMPENER_FREE_A_MAX.get(tag, agent.DAMPENER_FREE_A_MAX_DEFAULT)
-                assert (repr(agent._free_plan(tag, args[3]))
-                        == repr(build(args[3], free_a, 2.0, args[3])))
+            planner, want = PlannerSpec.clamped(*args), build(*args)
+            assert repr(planner) == repr(want)
+            triple = (want.v0, want.a_max, want.s0)
+            assert planner.json_line == json_line(*triple)
             # IdmParams refuses a value <= 0 or NaN: both must raise alike then
-            assert (repr(outcome(lambda a: execute(PlannerSpec(*a[:3])), args))
-                    == repr(outcome(lambda a: merge(*a), args)))
+            for p, t in ((planner, triple), (PlannerSpec(*args[:3]), args[:3])):
+                assert repr(outcome(execute, p)) == repr(outcome(lambda t: merge(*t), t))
 
 
 class _CannedBackend:

@@ -1,7 +1,9 @@
 """Repository hygiene: nothing ignored by .gitignore is tracked, every
 third-party module the package imports at load time is a declared dependency,
-and every data file the package reads is declared package data."""
+importing the package loads neither a process pool nor ``secrets``, and every
+data file the package reads is declared package data."""
 import ast
+import os
 import re
 import shutil
 import subprocess
@@ -75,6 +77,16 @@ def test_the_dependency_check_sees_what_it_must():
     assert undeclared(["import requests.adapters\n"], []) == {"requests"}
     assert undeclared(["try:\n    from requests import post\nexcept ImportError:\n"
                        "    pass\n"], ["requests>=2.28"]) == set()
+
+
+def test_import_loads_no_process_pool_or_secrets():
+    # only a sweep with workers > 1 starts a process pool; a temp file's
+    # random name comes from os.urandom, so secrets (and its hmac) stay out too
+    unwanted = ("concurrent.futures", "multiprocessing", "secrets", "hmac")
+    code = f"import sys, comal; print([m for m in {unwanted!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "[]"
 
 
 def unpackaged(package_dir: Path, globs) -> set[str]:
