@@ -785,19 +785,22 @@ def _reason_system_turn() -> ChatTurn:
 
 
 def reason(role: str, scene: SceneDescription | None, experiences,
-           backend: ReasonBackend, *, speed_limit: float | None = None,
-           retries: int = 2, flags: RunFlags | None = None) -> PlannerSpec:
+           backend: ReasonBackend, *, agent_id: str | None = None,
+           speed_limit: float | None = None, retries: int = 2,
+           flags: RunFlags | None = None) -> PlannerSpec:
     """Run the four-stage reasoning chain and extract the planner triple.
 
     The staged prompt (role clarification, scene understanding, motion
     instruction, planner generation) goes out as one completion; the reply
     must contain a JSON planner object. After ``retries`` extra attempts
-    the role's scripted default applies and the run is flagged.
+    the role's scripted default applies and the run is flagged. The agent
+    is ``agent_id``, else the scene's ego, else ``"ego"``.
     """
     flags = flags if flags is not None else RunFlags()
     limit = speed_limit if speed_limit is not None else (
         scene.speed_limit if scene is not None else 30.0)
-    agent_id = scene.ego_id if scene is not None else "ego"
+    if agent_id is None:
+        agent_id = scene.ego_id if scene is not None else "ego"
     user = _template("reason_user.txt").format(
         agent_id=agent_id, role=role,
         rationale="Act accordingly.",

@@ -44,20 +44,23 @@ class TrajectorySample:
 
 
 class TrajectorySamples(Sequence):
-    """A run's samples, held as one set of columns per recorded step.
+    """A run's samples, held as two float64 columns and a list per step.
 
-    Each step keeps its time, the ids of the vehicles present (one list,
-    shared by consecutive steps with the same population), and their
-    positions and speeds as arrays. It reads as a sequence of
-    :class:`TrajectorySample` in step order, then vehicle order, and
-    compares equal to any list or tuple of the same samples.
+    Each recorded step keeps its time and the ids of the vehicles present
+    (one list, shared by consecutive steps with the same population). Its
+    positions and speeds fill the next rows of a position and a speed
+    column; ``positions[k]`` and ``speeds[k]`` are views of step ``k``'s
+    rows. The columns start at ``capacity`` rows and grow geometrically.
+    It reads as a sequence of :class:`TrajectorySample` in step order, then
+    vehicle order, and compares equal to any list or tuple of the same
+    samples.
     """
 
-    def __init__(self):
+    def __init__(self, capacity: int = 0):
         self.times: list[float] = []
         self.ids: list[list[str]] = []
-        self.positions: list[np.ndarray] = []
-        self.speeds: list[np.ndarray] = []
+        self._pos = np.empty(capacity)
+        self._speed = np.empty(capacity)
         self._ends: list[int] = []  # samples up to and including each step
 
     @classmethod
@@ -65,7 +68,7 @@ class TrajectorySamples(Sequence):
         """``samples`` as columns; each run of equal times becomes one step."""
         if isinstance(samples, cls):
             return samples
-        out = cls()
+        out = cls(operator.length_hint(samples))
         for time, group in itertools.groupby(samples, key=operator.attrgetter("time")):
             group = list(group)
             out.append(time, [s.vehicle_id for s in group],
@@ -73,15 +76,55 @@ class TrajectorySamples(Sequence):
         return out
 
     def append(self, time: float, ids, positions, speeds) -> None:
-        """Record one step, copying ``positions`` and ``speeds``."""
+        """Record one step, copying ``positions`` and ``speeds`` into the columns."""
+        start = len(self)
+        end = start + len(ids)
+        if end > self._pos.size:
+            capacity = max(end, 2 * self._pos.size)
+            self._pos = self._grown(self._pos, capacity, start)
+            self._speed = self._grown(self._speed, capacity, start)
+        self._pos[start:end] = positions
+        self._speed[start:end] = speeds
         if not self.ids or self.ids[-1] != ids:
             self.ids.append(list(ids))
         else:
             self.ids.append(self.ids[-1])
         self.times.append(time)
-        self.positions.append(np.array(positions, dtype=float))
-        self.speeds.append(np.array(speeds, dtype=float))
-        self._ends.append(len(self) + len(ids))
+        self._ends.append(end)
+
+    @staticmethod
+    def _grown(col: np.ndarray, capacity: int, filled: int) -> np.ndarray:
+        """A column of ``capacity`` rows holding the first ``filled`` of ``col``."""
+        out = np.empty(capacity)
+        out[:filled] = col[:filled]
+        return out
+
+    def _steps(self, col: np.ndarray) -> list[np.ndarray]:
+        return [col[a:b] for a, b in zip([0] + self._ends, self._ends)]
+
+    @property
+    def positions(self) -> list[np.ndarray]:
+        """Each step's positions, as views into the position column."""
+        return self._steps(self._pos)
+
+    @property
+    def speeds(self) -> list[np.ndarray]:
+        """Each step's speeds, as views into the speed column."""
+        return self._steps(self._speed)
+
+    def speeds_after(self, warmup: float) -> np.ndarray:
+        """The speeds of every step timed after ``warmup``, in step order.
+
+        When those steps are the last ones, as whenever times never
+        decrease, this is a view of the speed column's tail; otherwise a
+        copy of each selected step's speeds, joined.
+        """
+        times = self.times
+        first = next((k for k, t in enumerate(times) if t > warmup), len(times))
+        if all(t > warmup for t in times[first:]):
+            return self._speed[(self._ends[first - 1] if first else 0):len(self)]
+        return np.concatenate([np.empty(0)] + [
+            v for t, v in zip(times, self.speeds) if t > warmup])
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
@@ -97,7 +140,7 @@ class TrajectorySamples(Sequence):
         k = bisect.bisect_right(self._ends, i)
         j = i - (self._ends[k - 1] if k else 0)
         return TrajectorySample(self.times[k], self.ids[k][j],
-                                float(self.positions[k][j]), float(self.speeds[k][j]))
+                                float(self._pos[i]), float(self._speed[i]))
 
     def __iter__(self):
         for time, ids, pos, speed in zip(self.times, self.ids, self.positions, self.speeds):
@@ -138,9 +181,7 @@ def metrics(samples, warmup: float) -> tuple[float, float]:
     strictly after the warmup instant. ``samples`` is a
     :class:`TrajectorySamples` or any iterable of :class:`TrajectorySample`.
     """
-    cols = TrajectorySamples.of(samples)
-    speeds = np.concatenate([np.empty(0)] + [
-        v for t, v in zip(cols.times, cols.speeds) if t > warmup])
+    speeds = TrajectorySamples.of(samples).speeds_after(warmup)
     if speeds.size == 0:
         raise ValueError("no post-warmup samples")
     return float(speeds.mean()), float(speeds.std())
@@ -188,7 +229,8 @@ class AgentPipeline:
                 recalled[role] = (agent_mod.recall(self.memory, self.cfg.topology, role)
                                   if self.cfg.memory else [])
             planner = agent_mod.reason(role, scene, recalled[role], self.backend,
-                                       speed_limit=self.cfg.speed_limit, flags=self.flags)
+                                       agent_id=vid, speed_limit=self.cfg.speed_limit,
+                                       flags=self.flags)
             world.set_params(vid, agent_mod.execute(planner))
             self.planner_log.append({
                 "time": time, "agent_id": vid, "role": role,
@@ -212,7 +254,8 @@ def run(cfg: sc.ScenarioConfig, backend=None, *, memory: MemoryStore | None = No
     warm_steps = int(round(cfg.warmup_s / dt))
     replan_steps = max(1, int(round(cfg.replan_interval_s / dt)))
 
-    samples = TrajectorySamples()
+    # exact on a closed network; an open one grows its columns as it fills
+    samples = TrajectorySamples((total_steps + 1) * world.size)
 
     def record():
         samples.append(world.time, world.ids, world.arc, world.speed)

@@ -231,7 +231,7 @@ class TestStep:
 
     @pytest.mark.parametrize("bad_gap", [0.0, -0.0, -3.0])
     def test_links_installed_between_steps_are_checked_before_moving(self, bad_gap):
-        # the first step clears the gap check; set_links must arm it again
+        # links installed after a step are checked before the next one moves anyone
         w = uniform_ring_world(n=5, length=100.0)
         dyn.step(w, 0.1)
         gaps = w.gap.copy()

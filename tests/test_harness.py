@@ -332,6 +332,70 @@ class TestRowAssembly:
                 assert fh.read() == reference_trajectories_csv(cols)
 
 
+@st.composite
+def sample_steps(draw):
+    """A column capacity below the samples, then steps whose population
+    changes or empties, at sorted (ties allowed) or unsorted times."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=30))
+    times = draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.5, 2.0, 7.25]),
+                          min_size=len(sizes), max_size=len(sizes)))
+    if draw(st.booleans()):
+        times.sort()
+    steps = []
+    for time, n in zip(times, sizes):
+        first = int(rng.integers(0, 5))
+        steps.append((time, [f"v{i}" for i in range(first, first + n)],
+                      rng.uniform(0.0, 3680.0, n), rng.normal(15.0, 8.0, n)))
+    return draw(st.integers(0, max(sum(sizes) - 1, 0))), steps
+
+
+def parent_metric_bits(steps, warmup):
+    """The mean and std bits of one array joined from the selected steps."""
+    speeds = np.concatenate([np.empty(0)] + [np.array(v, dtype=float)
+                                             for t, _, _, v in steps if t > warmup])
+    return (float(speeds.mean()).hex(), float(speeds.std()).hex()) if speeds.size else None
+
+
+def metric_bits(samples, warmup):
+    try:
+        return tuple(x.hex() for x in metrics(samples, warmup))
+    except ValueError:
+        return None
+
+
+class TestSampleColumns:
+    """Two float64 columns hold every sample through growth, and a tail view
+    of the speed column reduces to the bits of a joined copy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sample_steps())
+    def test_hold_every_sample_and_give_the_joined_metrics(self, case):
+        capacity, steps = case
+        cols = TrajectorySamples(capacity)
+        for step in steps:
+            cols.append(*step)
+        assert list(cols) == [TrajectorySample(t, vid, x, v) for t, ids, pos, speed in steps
+                              for vid, x, v in zip(ids, pos.tolist(), speed.tolist())]
+        for warmup in [-1.0] + sorted({t for t, *_ in steps}):
+            assert metric_bits(cols, warmup) == parent_metric_bits(steps, warmup)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 60), min_size=1, max_size=12))
+    def test_a_tail_view_at_each_of_8_offsets_reduces_like_a_copy(self, seed, sizes):
+        speed = np.random.default_rng(seed).normal(15.0, 8.0, 8 + sum(sizes))
+        cols = TrajectorySamples(3)
+        ends = np.cumsum([1] * 8 + sizes).tolist()
+        for k, (a, b) in enumerate(zip([0] + ends, ends)):
+            cols.append(float(k), [f"v{i}" for i in range(b - a)], speed[a:b], speed[a:b])
+        for offset in range(8):
+            view = cols.speeds_after(offset - 0.5)
+            assert np.shares_memory(view, cols.speeds[offset])  # read in place
+            copy = speed[offset:].copy()
+            assert metric_bits(cols, offset - 0.5) == (float(copy.mean()).hex(),
+                                                       float(copy.std()).hex())
+
+
 def relabelled(samples: TrajectorySamples, names: dict) -> TrajectorySamples:
     """``samples`` with every vehicle id ``v`` renamed ``names.get(v, v)``."""
     out = TrajectorySamples()
@@ -401,6 +465,17 @@ class TestReplayFlow:
         assert replayed.avg_speed == recorded.avg_speed
         assert replayed.speed_std == recorded.speed_std
         assert replayed.flags == recorded.flags
+
+    def test_perception_off_reasons_as_each_cav(self, tmp_path):
+        cfg = sc.find("Ring 1").replace(perception=False, horizon_s=25.0)
+        log = TranscriptLog(tmp_path / "transcript.jsonl")
+        result = run(cfg, RecordingBackend(ScriptedBackend(), log, "rec"))
+        log.close()
+        reasons = [r for r in TranscriptLog.read(tmp_path / "transcript.jsonl")
+                   if r["stage"] == "reason"]
+        assert [r["agent_id"] for r in reasons] == [p["agent_id"] for p in result.planner_log]
+        for r in reasons:
+            assert f"You are {r['agent_id']}." in r["request"][-1]["content"]
 
     def test_replay_onto_another_seed_is_a_divergence(self, tmp_path):
         # the agents and stages come in the recorded order; the scenes do not
