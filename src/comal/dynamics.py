@@ -20,6 +20,25 @@ served gating at conflict points, the spawn slot at an entry) is read from
 one ``World.route_index()``: the vehicles on each route sorted by arc. All
 per-vehicle state is one table, ``_COLUMNS`` and ``_LISTS``: an add writes
 every column, a removal compacts them all, and storage grows by doubling.
+
+The step also reads values derived from the table. Each is refreshed where
+the table column it comes from is written, never by the step, so none can
+go stale whatever the call order:
+
+- after every add and removal (``World._bind``): where each row's draws
+  start in the flattened noise blocks, the noisy mask and whether any
+  vehicle is noisy, the draws left before a block is used up, the noise
+  scale, ``2*sqrt(a_max*b)`` and whether every ``delta`` is 4, whether
+  every vehicle is on a loop, whether the network is closed, and the
+  leader mask;
+- ``World._noise``, which moves the draw positions: the draws left,
+  counted down each draw and counted again after a refill, and the noise
+  scale, made again when dt changes;
+- ``set_params``: ``2*sqrt(a_max*b)`` of the row, and the ``delta`` test;
+- ``set_links`` and ``rebuild_links``: the leader mask, kept as ``None``
+  when every vehicle has a leader, so a ring step uses the links as they
+  are, without the ``np.where`` against the mask;
+- ``add_inflow``: whether the network is closed.
 """
 from __future__ import annotations
 
@@ -308,13 +327,13 @@ class World:
         self.route_ids: list[str] = []
         self.kinds: list[str] = []
         self.noise: list[NoiseModel] = []
+        self.inflows: list[_Inflow] = []
         self._store = {name: np.empty((0, *shape), dtype)
                        for name, (dtype, shape) in _COLUMNS.items()}
         self._bind()
         self._index: dict[str, int] = {}
         self._seedseq = np.random.SeedSequence(seed)
         self.reservations = {cp.id: _Reservation() for cp in network.conflict_points}
-        self.inflows: list[_Inflow] = []
         self.removed_count = 0
 
     # -- construction ------------------------------------------------------
@@ -325,39 +344,77 @@ class World:
 
     @property
     def is_closed(self) -> bool:
-        return not self.inflows and bool(self._cyclic.all())
+        return self._closed
 
     def spawn_stream(self) -> np.random.Generator:
         """Next child RNG stream; allocation order is the determinism key."""
         return np.random.default_rng(self._seedseq.spawn(1)[0])
 
     def add_vehicle(self, state: VehicleState, noise_std: float) -> None:
-        if state.id in self._index:
-            raise ValueError(f"duplicate vehicle id {state.id!r}")
-        route = self.network.route(state.route_id)
-        row = dict(arc=route.arc_of(state.position), speed=state.speed, length=state.length,
-                   _route_len=route.length, _cyclic=route.cyclic,
-                   _route_code=list(self.network.routes).index(route.id),
-                   lead_idx=-1, gap=np.inf,
-                   _noise_std=noise_std, _noise_block=0.0,
-                   _noise_pos=_NOISE_BLOCK if noise_std > 0 else 0, **vars(state.active_params))
-        i = self.size
-        for name, col in self._store.items():  # a column the row lacks is a KeyError
-            if i == len(col):  # full: double the storage
-                col = self._store[name] = np.resize(col, (max(2 * i, 16), *col.shape[1:]))
-            col[i] = row[name]
-        self._index[state.id] = i
-        self.ids.append(state.id)
-        self.route_ids.append(state.route_id)
-        self.kinds.append(state.kind)
-        self.noise.append(NoiseModel(noise_std, self._seedseq.spawn(1)[0]))
+        self.add_vehicles([state], [noise_std])
+
+    def add_vehicles(self, states: list[VehicleState], noise_stds: list[float]) -> None:
+        """Add vehicles in order, in one write of every column.
+
+        The rows and noise streams are those of one ``add_vehicle`` per
+        vehicle: ``SeedSequence.spawn(n)`` gives the same children as n
+        ``spawn(1)`` calls, and storage doubles to the same capacity.
+        """
+        ids = [s.id for s in states]
+        seen = set()
+        for vid in ids:
+            if vid in self._index or vid in seen:
+                raise ValueError(f"duplicate vehicle id {vid!r}")
+            seen.add(vid)
+        codes = {rid: code for code, rid in enumerate(self.network.routes)}
+        routes = [self.network.route(s.route_id) for s in states]
+        rows = dict(arc=[r.arc_of(s.position) for r, s in zip(routes, states)],
+                    speed=[s.speed for s in states], length=[s.length for s in states],
+                    _route_len=[r.length for r in routes], _cyclic=[r.cyclic for r in routes],
+                    _route_code=[codes[r.id] for r in routes], lead_idx=-1, gap=np.inf,
+                    _noise_std=noise_stds, _noise_block=0.0,
+                    _noise_pos=[_NOISE_BLOCK if std > 0 else 0 for std in noise_stds],
+                    **{k: [getattr(s.active_params, k) for s in states] for k in _PARAM_KEYS})
+        i, end = self.size, self.size + len(states)
+        for name, col in self._store.items():  # a column the rows lack is a KeyError
+            capacity = len(col)
+            while capacity < end:  # double the storage until the rows fit
+                capacity = max(2 * capacity, 16)
+            if capacity > len(col):
+                col = self._store[name] = np.resize(col, (capacity, *col.shape[1:]))
+            col[i:end] = rows[name]
+        self._index.update(zip(ids, range(i, end)))
+        self.ids += ids
+        self.route_ids += [s.route_id for s in states]
+        self.kinds += [s.kind for s in states]
+        self.noise += [NoiseModel(std, seq) for std, seq in
+                       zip(noise_stds, self._seedseq.spawn(len(states)))]
         self._bind()
 
     def _bind(self) -> None:
-        """Rebind every column attribute as a view of its first ``size`` rows."""
+        """Rebind every column attribute as a view of its first ``size`` rows,
+        and derive again every value the step reads from the table."""
         views = {name: col[:self.size] for name, col in self._store.items()}
         self._p = {k: views.pop(k) for k in _PARAM_KEYS}
         vars(self).update(views)
+        # each row's first draw in the flattened block storage, a view that refills write through
+        self._block_starts = np.arange(self.size) * _NOISE_BLOCK
+        self._flat_blocks = self._store["_noise_block"].reshape(-1, copy=False)
+        self._noisy = self._noise_std > 0.0
+        self._any_noisy = bool(self._noisy.any())
+        self._count_draws_left()
+        self._noise_scale: tuple[float, np.ndarray] | None = None  # (dt, std / sqrt(dt))
+        # the IDM kernel's keywords: the parameter columns and two values derived from them
+        self._idm = dict(self._p, two_sqrt_ab=2.0 * np.sqrt(self._p["a_max"] * self._p["b"]),
+                         delta_is_4=bool((self._p["delta"] == 4.0).all()))
+        self._all_cyclic = bool(self._cyclic.all())
+        self._closed = not self.inflows and self._all_cyclic
+        self._derive_links()
+
+    def _derive_links(self) -> None:
+        """The leader mask the step reads; ``None`` when every vehicle has a leader."""
+        has_lead = self.lead_idx >= 0
+        self._has_lead = None if has_lead.all() else has_lead
 
     def add_inflow(self, route_id: str, rate_vph: float, cav_fraction: float = 0.0,
                    id_prefix: str = "veh") -> None:
@@ -366,6 +423,7 @@ class World:
         mix_rng = self.spawn_stream() if cav_fraction > 0 else None
         self.inflows.append(_Inflow(route_id, rate_vph, self.spawn_stream(),
                                     cav_fraction, mix_rng, id_prefix))
+        self._closed = False
 
     # -- inspection --------------------------------------------------------
 
@@ -384,6 +442,11 @@ class World:
         i = self._index[vehicle_id]
         for key in self._p:
             self._p[key][i] = getattr(params, key)
+        # the same IEEE product and square root as the column-wise derivation in _bind
+        p = self._p
+        self._idm["two_sqrt_ab"][i] = 2.0 * math.sqrt(float(p["a_max"][i]) * float(p["b"][i]))
+        if not (self._idm["delta_is_4"] and p["delta"][i] == 4.0):
+            self._idm["delta_is_4"] = bool((p["delta"] == 4.0).all())
 
     # -- leader links ------------------------------------------------------
 
@@ -397,6 +460,7 @@ class World:
             raise ValueError(f"set_links needs {self.size} leader indices and gaps")
         self.lead_idx[:] = lead_idx
         self.gap[:] = gap
+        self._derive_links()
 
     def route_index(self) -> RouteIndex:
         """Sort the vehicles present on each route by their arc along it.
@@ -447,6 +511,7 @@ class World:
             pos, d = index.ahead(route, k, 1)
             self.lead_idx[order[k]] = order[pos]
             self.gap[order[k]] = d - index.extent[route.id][pos]
+        self._derive_links()
 
     # -- conflict-point gating ----------------------------------------------
 
@@ -523,16 +588,24 @@ class World:
         the block from its stream when it is used up, so spawns and removals
         leave every other vehicle's sequence alone.
         """
-        noisy = self._noise_std > 0.0
-        if not noisy.any():
+        if not self._any_noisy:
             return None
-        due = np.flatnonzero(self._noise_pos == _NOISE_BLOCK)
-        for i in due.tolist():
-            self._noise_block[i] = self.noise[i].block(_NOISE_BLOCK)
-        self._noise_pos[due] = 0
-        z = self._noise_block[np.arange(self.size), self._noise_pos]
-        self._noise_pos += noisy
-        return z * (self._noise_std / math.sqrt(dt))
+        if not self._draws_left:
+            due = np.flatnonzero(self._noise_pos == _NOISE_BLOCK)
+            for i in due.tolist():
+                self._noise_block[i] = self.noise[i].block(_NOISE_BLOCK)
+            self._noise_pos[due] = 0
+            self._count_draws_left()
+        z = self._flat_blocks[self._block_starts + self._noise_pos]
+        self._noise_pos += self._noisy
+        self._draws_left -= 1
+        if self._noise_scale is None or self._noise_scale[0] != dt:
+            self._noise_scale = dt, self._noise_std / math.sqrt(dt)
+        return z * self._noise_scale[1]
+
+    def _count_draws_left(self) -> None:
+        """Draws until the first noisy vehicle's block is used up (0: now)."""
+        self._draws_left = _NOISE_BLOCK - int(self._noise_pos.max(where=self._noisy, initial=0))
 
     # -- arrivals and removals ----------------------------------------------
 
@@ -570,27 +643,27 @@ class World:
 
     def _remove_finished(self) -> None:
         """Drop vehicles whose front bumper passed an open route's sink."""
-        if self._cyclic.all():
+        if self._all_cyclic:
             return
         done = ~self._cyclic & (self.arc >= self._route_len)
         if not done.any():
             return
         keep = ~done
         self.removed_count += int(done.sum())
+        # renumber links; a vehicle whose leader left is now a route's front
+        linked = (self.lead_idx >= 0) & keep[self.lead_idx]
+        self.lead_idx[:] = np.where(linked, np.cumsum(keep)[self.lead_idx] - 1, -1)
+        self.gap[~linked] = np.inf
         n = int(keep.sum())
         for col in self._store.values():
             col[:n] = col[:keep.size][keep]
         for name in _LISTS:
             setattr(self, name, [v for v, k in zip(getattr(self, name), keep) if k])
         self._bind()
-        # renumber links; a vehicle whose leader left is now a route's front
-        linked = (self.lead_idx >= 0) & keep[self.lead_idx]
-        self.lead_idx[:] = np.where(linked, np.cumsum(keep)[self.lead_idx] - 1, -1)
-        self.gap[~linked] = np.inf
         self._index = {vid: i for i, vid in enumerate(self.ids)}
 
     def _check_gaps(self) -> None:
-        bad = np.flatnonzero(self.gap <= 0.0)
+        bad = (self.gap <= 0.0).nonzero()[0]
         if bad.size:
             i = int(bad[0])
             j = int(self.lead_idx[i])
@@ -606,7 +679,9 @@ def step(world: World, dt: float) -> None:
     speed update with failsafe cap, position advance, incremental gap
     update, collision check, sink removal. Links, gating and spawning read
     one route index per step, built again only after a spawn; a ring
-    without conflict points builds none.
+    without conflict points builds none. What the step reads of the table
+    besides the state it moves is derived where the table is written (see
+    the module docstring).
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -626,18 +701,22 @@ def step(world: World, dt: float) -> None:
 
     v = world.speed
     lead = world.lead_idx
-    has_lead = lead >= 0
-    lead_speed = np.where(has_lead, v[lead], v)
-    gap = np.where(has_lead, world.gap, np.inf)
+    has_lead = world._has_lead  # None: every vehicle has a leader
+    if has_lead is None:
+        lead_speed = v[lead]
+        gap = world.gap
+    else:
+        lead_speed = np.where(has_lead, v[lead], v)
+        gap = np.where(has_lead, world.gap, np.inf)
     world._check_gaps()
 
     dv = v - lead_speed
-    acc = kernels.idm_acceleration(v, dv, gap, **world._p)
+    acc = kernels.idm_acceleration(v, dv, gap, **world._idm)
     cap = kernels.safe_speed(gap, lead_speed, dt, world.b_max)
 
     vgap = world._virtual_gaps(dist)
     if vgap is not None:
-        acc_v = kernels.idm_acceleration(v, v, vgap, **world._p)
+        acc_v = kernels.idm_acceleration(v, v, vgap, **world._idm)
         acc = np.minimum(acc, acc_v)
         cap = np.minimum(cap, kernels.safe_speed(vgap, np.zeros(n), dt, world.b_max))
 
@@ -646,13 +725,18 @@ def step(world: World, dt: float) -> None:
         acc = acc + noise
 
     v_new = np.maximum(0.0, v + acc * dt)
-    v_new = np.minimum(v_new, np.maximum(cap, 0.0))
+    v_new = np.minimum(v_new, np.maximum(cap, 0.0), out=world.speed)
 
     world.arc += v_new * dt
-    over = world._cyclic & (world.arc >= world._route_len)
-    if over.any():
-        world.arc[over] -= world._route_len[over]
-    world.speed[:] = v_new
-    world.gap += np.where(has_lead, v_new[lead] - v_new, 0.0) * dt
+    over = world.arc >= world._route_len
+    if not world._all_cyclic:
+        over &= world._cyclic
+    wrapped = over.nonzero()[0]
+    if wrapped.size:
+        world.arc[wrapped] -= world._route_len[wrapped]
+    if has_lead is None:
+        world.gap += (v_new[lead] - v_new) * dt
+    else:
+        world.gap += np.where(has_lead, v_new[lead] - v_new, 0.0) * dt
     world._check_gaps()
     world._remove_finished()

@@ -53,13 +53,14 @@ class TrajectorySamples(Sequence):
     rows. The columns start at ``capacity`` rows and grow geometrically.
     It reads as a sequence of :class:`TrajectorySample` in step order, then
     vehicle order, and compares equal to any list or tuple of the same
-    samples.
+    samples. Samples made with ``positions=False`` keep no position column:
+    they serve :meth:`speeds_after` only.
     """
 
-    def __init__(self, capacity: int = 0):
+    def __init__(self, capacity: int = 0, *, positions: bool = True):
         self.times: list[float] = []
         self.ids: list[list[str]] = []
-        self._pos = np.empty(capacity)
+        self._pos = np.empty(capacity) if positions else None
         self._speed = np.empty(capacity)
         self._ends: list[int] = []  # samples up to and including each step
 
@@ -79,11 +80,13 @@ class TrajectorySamples(Sequence):
         """Record one step, copying ``positions`` and ``speeds`` into the columns."""
         start = len(self)
         end = start + len(ids)
-        if end > self._pos.size:
-            capacity = max(end, 2 * self._pos.size)
-            self._pos = self._grown(self._pos, capacity, start)
+        if end > self._speed.size:
+            capacity = max(end, 2 * self._speed.size)
+            if self._pos is not None:
+                self._pos = self._grown(self._pos, capacity, start)
             self._speed = self._grown(self._speed, capacity, start)
-        self._pos[start:end] = positions
+        if self._pos is not None:
+            self._pos[start:end] = positions
         self._speed[start:end] = speeds
         if not self.ids or self.ids[-1] != ids:
             self.ids.append(list(ids))
@@ -254,8 +257,9 @@ def run(cfg: sc.ScenarioConfig, backend=None, *, memory: MemoryStore | None = No
     warm_steps = int(round(cfg.warmup_s / dt))
     replan_steps = max(1, int(round(cfg.replan_interval_s / dt)))
 
-    # exact on a closed network; an open one grows its columns as it fills
-    samples = TrajectorySamples((total_steps + 1) * world.size)
+    # exact on a closed network; an open one grows its columns as it fills.
+    # The metrics read only the speeds, so unkept samples hold no positions.
+    samples = TrajectorySamples((total_steps + 1) * world.size, positions=keep_samples)
 
     def record():
         samples.append(world.time, world.ids, world.arc, world.speed)
@@ -328,22 +332,49 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[1:-2]  # drop the leading delimiter and the "\r\n"
 
 
-def _float_fields(col: np.ndarray) -> list[str]:
-    """``repr`` of every float64 in the 1-D array ``col``, formatted natively.
+_TEST_BLOCK = 1 << 16  # values of a column tested for orjson's range at once
+
+
+def _out_of_range(col: np.ndarray) -> np.ndarray:
+    """Indices of the floats of ``col`` that orjson does not write as ``repr``.
 
     orjson writes the same shortest round-trip digits as ``repr`` and
     differs only in exponent style (``0.00001`` for ``1e-05``, ``1e16`` for
-    ``1e+16``) and in writing ``null`` for nan and inf. So its text is kept
-    for 0, -0 and every ``1e-4 <= |x| < 1e16``, and ``repr`` formats the
-    rest: nonzero ``|x| < 1e-4``, ``|x| >= 1e16``, nan and inf.
+    ``1e+16``) and in writing ``null`` for nan and inf. So its text stands
+    for 0, -0 and every ``1e-4 <= |x| < 1e16``; the rest are flagged:
+    nonzero ``|x| < 1e-4``, ``|x| >= 1e16``, nan and inf.
+    """
+    mag = np.abs(col)
+    return np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (col != 0))
+
+
+def _float_fields(col: np.ndarray, test: bool = True) -> list[str]:
+    """``repr`` of every float64 in the 1-D array ``col``, formatted natively.
+
+    orjson formats the array; with ``test``, ``repr`` rewrites the values
+    :func:`_out_of_range` flags. Without it, ``col`` must hold none.
     """
     if not col.size:
         return []
     fields = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    mag = np.abs(col)
-    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (col != 0)).tolist():
-        fields[i] = repr(float(col[i]))
+    if test:
+        for i in _out_of_range(col).tolist():
+            fields[i] = repr(float(col[i]))
     return fields
+
+
+def _flagged_steps(cols: TrajectorySamples) -> set[int]:
+    """The steps holding a position or a speed that :func:`_out_of_range` flags.
+
+    Each column is tested in blocks of ``_TEST_BLOCK`` values, so the test's
+    temporaries stay small whatever the run's length.
+    """
+    steps: set[int] = set()
+    for col in (cols._pos[:len(cols)], cols._speed[:len(cols)]):
+        for a in range(0, col.size, _TEST_BLOCK):
+            rows = a + _out_of_range(col[a:a + _TEST_BLOCK])
+            steps.update(np.searchsorted(cols._ends, rows, side="right").tolist())
+    return steps
 
 
 def _write_rows(fh, cols: TrajectorySamples) -> None:
@@ -352,11 +383,14 @@ def _write_rows(fh, cols: TrajectorySamples) -> None:
     A population's rows are one template list, six strings per vehicle
     (time, ``,id,``, position, ``,``, speed, ``\\r\\n``), made again only when
     the step's id list changes. Each step fills in its time and floats, then
-    joins the list in one write.
+    joins the list in one write. Only the steps that :func:`_flagged_steps`
+    names have their floats tested again, one by one.
     """
     field: dict[str, str] = {}  # vehicle id -> its CSV field
     ids = row = None
-    for time, step_ids, pos, speed in zip(cols.times, cols.ids, cols.positions, cols.speeds):
+    flagged = _flagged_steps(cols)
+    steps = zip(cols.times, cols.ids, cols.positions, cols.speeds)
+    for k, (time, step_ids, pos, speed) in enumerate(steps):
         if step_ids is not ids:
             ids = step_ids
             for v in ids:
@@ -365,7 +399,7 @@ def _write_rows(fh, cols: TrajectorySamples) -> None:
             row = [None, None, None, ",", None, "\r\n"] * len(ids)
             row[1::6] = [f",{field[v]}," for v in ids]
         n = len(ids)
-        fields = _float_fields(np.concatenate((pos, speed)))
+        fields = _float_fields(np.concatenate((pos, speed)), k in flagged)
         row[0::6] = [repr(time)] * n
         row[2::6] = fields[:n]
         row[4::6] = fields[n:]

@@ -196,14 +196,14 @@ def instantiate(cfg: ScenarioConfig) -> dyn.World:
     gap = spacing - cfg.vehicle_length_m
     speed = dyn.equilibrium_speed(params, gap)
     cavs = _cav_indices(cfg, total)
-    for i in range(total):
-        kind = "cav" if i in cavs else "human"
-        state = dyn.VehicleState(
-            id=f"{kind}_{i:02d}", route_id=route_id,
-            position=network.arc_to_lane(route_id, i * spacing),
-            speed=speed, length=cfg.vehicle_length_m, kind=kind,
-            active_params=params)
-        world.add_vehicle(state, cfg.noise_std if kind == "human" else 0.0)
+    kinds = ["cav" if i in cavs else "human" for i in range(total)]
+    world.add_vehicles(
+        [dyn.VehicleState(id=f"{kind}_{i:02d}", route_id=route_id,
+                          position=network.arc_to_lane(route_id, i * spacing),
+                          speed=speed, length=cfg.vehicle_length_m, kind=kind,
+                          active_params=params)
+         for i, kind in enumerate(kinds)],
+        [cfg.noise_std if kind == "human" else 0.0 for kind in kinds])
     world.rebuild_links()
     world.set_links(world.lead_idx, np.full(total, gap))
     return world

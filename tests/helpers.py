@@ -2,12 +2,14 @@
 import csv
 import io
 import json
+import math
 import re
 
 import numpy as np
 from hypothesis import strategies as st
 
 from comal import dynamics as dyn
+from comal import kernels
 from comal import network as net
 from comal.llm_client import PlannerParseError
 from comal.agent import (ROLES, TERMINATOR, SceneDescription, allocate_roles,
@@ -55,6 +57,102 @@ def uniform_ring_world(n=22, length=230.0, speed_limit=30.0, noise_std=0.0,
     w.rebuild_links()
     w.set_links(w.lead_idx, np.full(n, spacing - vehicle_length))
     return w
+
+
+def reference_step(world, dt):
+    """``dynamics.step`` as it read the table afresh every step.
+
+    The retired step body, kept as the reference that the step reading the
+    table's derived values must reproduce bit for bit. Whether the network
+    is closed, the leader mask, ``2*sqrt(a_max*b)``, the ``delta`` test,
+    the noisy mask, the row numbers and the noise scale are all computed
+    here from the table, as are the noise draws and the sink removal
+    (:func:`reference_noise`, :func:`reference_remove_finished`), so no
+    value the world derives reaches this step.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    index = None
+    if not (not world.inflows and bool(world._cyclic.all())):
+        index = world._process_arrivals()
+        world.rebuild_links(index)
+    dist = {}
+    if world.reservations:
+        dist = world._gate_distances(index or world.route_index())
+        world._update_reservations(dist)
+    n = world.size
+    world.step_count += 1
+    world.time = round(world.step_count * dt, 9)
+    if n == 0:
+        return
+
+    v = world.speed
+    lead = world.lead_idx
+    has_lead = lead >= 0
+    lead_speed = np.where(has_lead, v[lead], v)
+    gap = np.where(has_lead, world.gap, np.inf)
+    world._check_gaps()
+
+    dv = v - lead_speed
+    acc = kernels.idm_acceleration(v, dv, gap, **world._p)
+    cap = kernels.safe_speed(gap, lead_speed, dt, world.b_max)
+
+    vgap = world._virtual_gaps(dist)
+    if vgap is not None:
+        acc_v = kernels.idm_acceleration(v, v, vgap, **world._p)
+        acc = np.minimum(acc, acc_v)
+        cap = np.minimum(cap, kernels.safe_speed(vgap, np.zeros(n), dt, world.b_max))
+
+    noise = reference_noise(world, dt)
+    if noise is not None:
+        acc = acc + noise
+
+    v_new = np.maximum(0.0, v + acc * dt)
+    v_new = np.minimum(v_new, np.maximum(cap, 0.0))
+
+    world.arc += v_new * dt
+    over = world._cyclic & (world.arc >= world._route_len)
+    if over.any():
+        world.arc[over] -= world._route_len[over]
+    world.speed[:] = v_new
+    world.gap += np.where(has_lead, v_new[lead] - v_new, 0.0) * dt
+    world._check_gaps()
+    reference_remove_finished(world)
+
+
+def reference_noise(world, dt):
+    """``World._noise`` as it scanned every vehicle for a used-up block each step."""
+    noisy = world._noise_std > 0.0
+    if not noisy.any():
+        return None
+    due = np.flatnonzero(world._noise_pos == dyn._NOISE_BLOCK)
+    for i in due.tolist():
+        world._noise_block[i] = world.noise[i].block(dyn._NOISE_BLOCK)
+    world._noise_pos[due] = 0
+    z = world._noise_block[np.arange(world.size), world._noise_pos]
+    world._noise_pos += noisy
+    return z * (world._noise_std / math.sqrt(dt))
+
+
+def reference_remove_finished(world):
+    """``World._remove_finished`` as it compacted the rows, then renumbered the links."""
+    if world._cyclic.all():
+        return
+    done = ~world._cyclic & (world.arc >= world._route_len)
+    if not done.any():
+        return
+    keep = ~done
+    world.removed_count += int(done.sum())
+    n = int(keep.sum())
+    for col in world._store.values():
+        col[:n] = col[:keep.size][keep]
+    for name in dyn._LISTS:
+        setattr(world, name, [v for v, k in zip(getattr(world, name), keep) if k])
+    world._bind()
+    linked = (world.lead_idx >= 0) & keep[world.lead_idx]
+    world.lead_idx[:] = np.where(linked, np.cumsum(keep)[world.lead_idx] - 1, -1)
+    world.gap[~linked] = np.inf
+    world._index = {vid: i for i, vid in enumerate(world.ids)}
 
 
 PROPERTY_NETWORKS = {

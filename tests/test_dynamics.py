@@ -15,7 +15,7 @@ from comal import scenario as sc
 from comal.agent import perceive
 
 from helpers import (PROPERTY_NETWORKS, assert_index_matches_reference, perception_worlds,
-                     reference_links, signed_dist_to, uniform_ring_world)
+                     reference_links, reference_step, signed_dist_to, uniform_ring_world)
 
 P = dyn.IdmParams(v0=30.0, T=1.0, a_max=1.0, b=1.5, delta=4.0, s0=2.0)
 
@@ -679,6 +679,45 @@ class TestPerVehicleArrays:
         np.testing.assert_array_equal(w.lead_idx, lead)
         np.testing.assert_array_equal(w.gap, gap)
 
+    @settings(max_examples=20, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+           stds=st.lists(st.sampled_from([0.0, 0.2, 0.5]), min_size=1, max_size=5))
+    def test_a_fleet_add_writes_the_rows_of_one_add_per_vehicle(self, sizes, stds):
+        network = net.build_merge(600.0, 100.0, 30.0)
+        routes = list(network.routes)
+        one, fleet = dyn.World(network, seed=5), dyn.World(network, seed=5)
+        start = 0
+        for n in sizes:  # fleets in turn, so storage grows across and within them
+            states, noise_stds = [], []
+            for k in range(start, start + n):
+                rid = routes[k % len(routes)]
+                states.append(dyn.VehicleState(
+                    id=f"v{k:03d}", route_id=rid,
+                    position=network.arc_to_lane(rid, 7.0 * k % network.route(rid).length),
+                    speed=0.1 * k, length=4.0 + k % 3, kind=("human", "cav")[k % 3 == 0],
+                    active_params=dataclasses.replace(P, a_max=0.5 + k % 4 * 0.25)))
+                noise_stds.append(stds[k % len(stds)])
+            start += n
+            for state, std in zip(states, noise_stds):
+                one.add_vehicle(state, std)
+            fleet.add_vehicles(states, noise_stds)
+            # the same rows, links, lists and noise streams, in storage of the same size
+            assert world_state(fleet) == world_state(one)
+            assert ({name: len(col) for name, col in fleet._store.items()}
+                    == {name: len(col) for name, col in one._store.items()})
+
+    def test_a_fleet_with_a_duplicate_id_adds_nothing(self):
+        w = uniform_ring_world(n=3)
+        before = world_state(w)
+        new = dyn.VehicleState(id="new", route_id="loop", speed=0.0, length=5.0,
+                               position=w.network.arc_to_lane("loop", 1.0), kind="human",
+                               active_params=P)
+        with pytest.raises(ValueError, match="duplicate vehicle id 'new'"):
+            w.add_vehicles([new, new], [0.2, 0.2])
+        with pytest.raises(ValueError, match="duplicate vehicle id 'human_00'"):
+            w.add_vehicles([new, dataclasses.replace(new, id="human_00")], [0.2, 0.2])
+        assert world_state(w) == before
+
     def test_removal_renumbers_links(self):
         w = merge_world(seed=1, noise_std=0.2, highway=600.0)
         while not w.removed_count:
@@ -687,6 +726,95 @@ class TestPerVehicleArrays:
         w.rebuild_links()
         np.testing.assert_array_equal(lead, w.lead_idx)
         np.testing.assert_allclose(gap, w.gap, rtol=0, atol=1e-9)
+
+
+def world_state(w) -> dict:
+    """Everything a step may change, as comparable values: every column's
+    dtype and bytes, the lists, each vehicle's noise stream, the clock,
+    the removals and the conflict-point reservations."""
+    state = {name: (col.dtype, col.tobytes()) if isinstance(col, np.ndarray) else col
+             for name, col in table(w).items() if name != "noise"}
+    state["noise"] = [(nm.std, nm._rng.bit_generator.state) for nm in w.noise]
+    state["clock"] = (w.time, w.step_count, w.removed_count, w._index)
+    state["reservations"] = {cp: (r.holder, r.holder_key, list(r.queue.items()))
+                             for cp, r in w.reservations.items()}
+    return state
+
+
+def paired_world(kind, n, noise_std, seed):
+    """A small world of ``kind``, built the same way on every call."""
+    if kind == "ring":
+        return uniform_ring_world(n=n, length=12.0 * n, noise_std=noise_std, seed=seed,
+                                  cav_indices=range(0, n, 3))
+    if kind == "figure_eight":
+        return sc.instantiate(sc.find("FE 1").replace(
+            n_humans=n - n // 3, n_cavs=n // 3, noise_std=noise_std, seed=seed))
+    return merge_world(seed, noise_std, highway=200.0)
+
+
+EDITS = st.one_of(
+    st.tuples(st.just("params"), st.floats(0.0, 1.0, exclude_max=True),
+              st.sampled_from([0.5, 1.0, 2.5]), st.sampled_from([1.5, 0.7, 3.0]),
+              st.sampled_from([4.0, 2.0, 1.0])),
+    st.tuples(st.just("unlink"), st.floats(0.0, 1.0, exclude_max=True), st.booleans()))
+
+
+def apply_edit(w, edit) -> None:
+    """Install new parameters for one vehicle, or take one closed-network
+    vehicle's leader away, its gap set to inf or left as it was; ``edit``
+    picks the vehicle by a fraction of the size."""
+    if not w.size:
+        return
+    i = int(edit[1] * w.size)
+    if edit[0] == "params":
+        w.set_params(w.ids[i], dyn.IdmParams(v0=20.0 + i % 7, T=1.0 + i % 3 * 0.2,
+                                             a_max=edit[2], b=edit[3], delta=edit[4], s0=2.0))
+    elif w.is_closed:
+        lead, gap = w.lead_idx.copy(), w.gap.copy()
+        lead[i] = -1
+        if not edit[2]:
+            gap[i] = np.inf
+        w.set_links(lead, gap)
+
+
+class TestStepMatchesReference:
+    """``step`` reads values derived from the table where the retired
+    ``reference_step`` computed them afresh; both leave the same bytes."""
+
+    @settings(max_examples=25, deadline=None)
+    @example(kind="ring", n=9, noise_std=0.2, seed=1, steps=300, dts=[0.1],
+             edits=[(40, ("params", 0.5, 2.5, 0.7, 2.0)), (90, ("unlink", 0.3, True)),
+                    (150, ("params", 0.5, 1.0, 1.5, 4.0))])
+    @example(kind="merge", n=1, noise_std=0.2, seed=3, steps=300, dts=[0.1, 0.05],
+             edits=[(120, ("params", 0.0, 2.5, 3.0, 1.0))])
+    @example(kind="figure_eight", n=10, noise_std=0.0, seed=0, steps=120, dts=[0.1],
+             edits=[(30, ("params", 0.9, 0.5, 3.0, 2.0)), (60, ("unlink", 0.0, False))])
+    @given(kind=st.sampled_from(["ring", "figure_eight", "merge"]), n=st.integers(1, 14),
+           noise_std=st.sampled_from([0.0, 0.2]), seed=st.integers(0, 2**16),
+           steps=st.integers(1, 300),
+           dts=st.lists(st.sampled_from([0.1, 0.05, 0.2]), min_size=1, max_size=3),
+           edits=st.lists(st.tuples(st.integers(0, 299), EDITS), max_size=4))
+    def test_same_tables_every_step(self, kind, n, noise_std, seed, steps, dts, edits):
+        got, want = (paired_world(kind, n, noise_std, seed) for _ in range(2))
+        assert world_state(got) == world_state(want)
+        at = {}
+        for k, edit in edits:
+            at.setdefault(k, []).append(edit)
+        for k in range(steps):
+            for edit in at.get(k, []):
+                apply_edit(got, edit)
+                apply_edit(want, edit)
+            outcomes = []
+            for w, stepper in ((got, dyn.step), (want, reference_step)):
+                try:
+                    stepper(w, dts[k % len(dts)])
+                    outcomes.append(None)
+                except dyn.CollisionError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            assert world_state(got) == world_state(want), k
+            if outcomes[0] is not None:
+                break
 
 
 class TestRingInvariantsAtScale:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -251,6 +252,31 @@ class TestColumnarSamples:
         result = run(MINI_RING, keep_samples=False)
         assert len(result.samples) == 0 and result.samples == []
 
+    @pytest.mark.parametrize("seed", [0, 3, 11, 2024])
+    def test_unkept_samples_give_the_kept_metric_bits(self, seed):
+        kept = run(MINI_RING.replace(seed=seed))
+        unkept = run(MINI_RING.replace(seed=seed), keep_samples=False)
+        assert [unkept.avg_speed.hex(), unkept.speed_std.hex()] == [
+            kept.avg_speed.hex(), kept.speed_std.hex()]
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_unkept_samples_allocate_no_position_column(self, monkeypatch, keep):
+        made = []
+
+        class Recorded(TrajectorySamples):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                made.append(self)
+
+        monkeypatch.setattr(harness, "TrajectorySamples", Recorded)
+        run(MINI_RING, keep_samples=keep)
+        recorded = made[0]  # the run's own; an unkept result gets an empty one
+        assert len(recorded) == recorded._speed.size == 6 * 301
+        if keep:
+            assert recorded._pos.size == 6 * 301
+        else:
+            assert recorded._pos is None
+
 
 # where repr and orjson's exponent styles meet, on both sides
 FORMAT_EDGES = [1e-4, 9.999999999999999e-05, 9999999999999998.0, 1e16, 5e-324,
@@ -296,6 +322,50 @@ class TestFloatFields:
             with open(path, "rb") as fh:
                 assert fh.read() == reference_trajectories_csv(run_samples)
         assert len(import_trajectories(path)) == 2
+
+
+# one value of each class that orjson writes unlike ``repr``, and -0.0
+OUT_OF_RANGE = st.one_of(
+    st.floats(-1e-4, 1e-4, exclude_min=True, exclude_max=True).filter(bool),
+    st.floats(min_value=1e16) | st.floats(max_value=-1e16),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+
+
+@st.composite
+def planted_samples(draw) -> TrajectorySamples:
+    """20 to 40 steps of up to 40 vehicles with in-range floats, and values of
+    every out-of-range class planted at random (step, row, column)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = draw(st.integers(20, 40))
+    sizes = [draw(st.integers(0, 40))]
+    for _ in range(steps - 1):  # the population often stays, sometimes changes
+        sizes.append(sizes[-1] if draw(st.booleans()) else draw(st.integers(0, 40)))
+    pos = [rng.uniform(0.0, 3680.0, n) for n in sizes]
+    speed = [rng.uniform(1e-4, 30.0, n) for n in sizes]
+    filled = [k for k, n in enumerate(sizes) if n]
+    if filled:
+        for value in draw(st.lists(OUT_OF_RANGE, max_size=12)):
+            k = draw(st.sampled_from(filled))
+            col = draw(st.sampled_from([pos, speed]))
+            col[k][draw(st.integers(0, sizes[k] - 1))] = value
+    cols = TrajectorySamples()
+    for k, n in enumerate(sizes):
+        cols.append(round(0.1 * k, 9), [f"v{i}" for i in range(n)], pos[k], speed[k])
+    return cols
+
+
+class TestOutOfRangeBlocks:
+    """The out-of-range test runs over blocks of each column, not per step;
+    the rows it flags are those ``repr`` rewrites."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_samples(), st.sampled_from([1, 7, 64, harness._TEST_BLOCK]))
+    def test_planted_values_match_the_per_sample_writer(self, cols, block):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(harness, "_TEST_BLOCK", block):
+            path = harness._export_trajectories(cols, tmp)
+            with open(path, "rb") as fh:
+                assert fh.read() == reference_trajectories_csv(cols)
 
 
 ODD_IDS = ["plain", "with,comma", 'with "quote"', "line\nbreak", "cr\rreturn", "", "b"]
