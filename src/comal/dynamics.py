@@ -27,13 +27,12 @@ go stale whatever the call order:
 
 - after every add and removal (``World._bind``): where each row's draws
   start in the flattened noise blocks, the noisy mask and whether any
-  vehicle is noisy, the draws left before a block is used up, the noise
-  scale, ``2*sqrt(a_max*b)`` and whether every ``delta`` is 4, whether
-  every vehicle is on a loop, whether the network is closed, and the
-  leader mask;
+  vehicle is noisy, the draws left before a block is used up,
+  ``2*sqrt(a_max*b)`` and whether every ``delta`` is 4, whether every
+  vehicle is on a loop, whether the network is closed, and the leader
+  mask;
 - ``World._noise``, which moves the draw positions: the draws left,
-  counted down each draw and counted again after a refill, and the noise
-  scale, made again when dt changes;
+  counted down each draw and counted again after a refill;
 - ``set_params``: ``2*sqrt(a_max*b)`` of the row, and the ``delta`` test;
 - ``set_links`` and ``rebuild_links``: the leader mask, kept as ``None``
   when every vehicle has a leader, so a ring step uses the links as they
@@ -399,11 +398,13 @@ class World:
         vars(self).update(views)
         # each row's first draw in the flattened block storage, a view that refills write through
         self._block_starts = np.arange(self.size) * _NOISE_BLOCK
-        self._flat_blocks = self._store["_noise_block"].reshape(-1, copy=False)
+        blocks = self._store["_noise_block"]
+        self._flat_blocks = blocks.reshape(-1)  # a view, as the storage is contiguous
+        if blocks.size and not np.may_share_memory(self._flat_blocks, blocks):
+            raise RuntimeError("the flattened noise blocks must be a view of their storage")
         self._noisy = self._noise_std > 0.0
         self._any_noisy = bool(self._noisy.any())
         self._count_draws_left()
-        self._noise_scale: tuple[float, np.ndarray] | None = None  # (dt, std / sqrt(dt))
         # the IDM kernel's keywords: the parameter columns and two values derived from them
         self._idm = dict(self._p, two_sqrt_ab=2.0 * np.sqrt(self._p["a_max"] * self._p["b"]),
                          delta_is_4=bool((self._p["delta"] == 4.0).all()))
@@ -442,11 +443,10 @@ class World:
         i = self._index[vehicle_id]
         for key in self._p:
             self._p[key][i] = getattr(params, key)
-        # the same IEEE product and square root as the column-wise derivation in _bind
-        p = self._p
-        self._idm["two_sqrt_ab"][i] = 2.0 * math.sqrt(float(p["a_max"][i]) * float(p["b"][i]))
-        if not (self._idm["delta_is_4"] and p["delta"][i] == 4.0):
-            self._idm["delta_is_4"] = bool((p["delta"] == 4.0).all())
+        # from the floats just written, by the same IEEE product and square root as _bind
+        self._idm["two_sqrt_ab"][i] = 2.0 * math.sqrt(float(params.a_max) * float(params.b))
+        if not (self._idm["delta_is_4"] and params.delta == 4.0):
+            self._idm["delta_is_4"] = bool((self._p["delta"] == 4.0).all())
 
     # -- leader links ------------------------------------------------------
 
@@ -599,9 +599,7 @@ class World:
         z = self._flat_blocks[self._block_starts + self._noise_pos]
         self._noise_pos += self._noisy
         self._draws_left -= 1
-        if self._noise_scale is None or self._noise_scale[0] != dt:
-            self._noise_scale = dt, self._noise_std / math.sqrt(dt)
-        return z * self._noise_scale[1]
+        return z * (self._noise_std / math.sqrt(dt))
 
     def _count_draws_left(self) -> None:
         """Draws until the first noisy vehicle's block is used up (0: now)."""

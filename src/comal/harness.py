@@ -348,33 +348,38 @@ def _out_of_range(col: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (col != 0))
 
 
-def _float_fields(col: np.ndarray, test: bool = True) -> list[str]:
+def _float_fields(col: np.ndarray, flagged=None) -> list[str]:
     """``repr`` of every float64 in the 1-D array ``col``, formatted natively.
 
-    orjson formats the array; with ``test``, ``repr`` rewrites the values
-    :func:`_out_of_range` flags. Without it, ``col`` must hold none.
+    orjson formats the array and ``repr`` rewrites the values at the indices
+    ``flagged``: those :func:`_out_of_range` finds, found here when omitted.
     """
     if not col.size:
         return []
     fields = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    if test:
-        for i in _out_of_range(col).tolist():
-            fields[i] = repr(float(col[i]))
+    for i in _out_of_range(col).tolist() if flagged is None else flagged:
+        fields[i] = repr(float(col[i]))
     return fields
 
 
-def _flagged_steps(cols: TrajectorySamples) -> set[int]:
-    """The steps holding a position or a speed that :func:`_out_of_range` flags.
+def _flagged_fields(cols: TrajectorySamples) -> dict[int, list[int]]:
+    """Step -> the indices :func:`_out_of_range` flags among its floats.
 
-    Each column is tested in blocks of ``_TEST_BLOCK`` values, so the test's
-    temporaries stay small whatever the run's length.
+    A step's floats are its positions, then its speeds, as :func:`_write_rows`
+    formats them. Each column is tested in blocks of ``_TEST_BLOCK`` values,
+    so the test's temporaries stay small whatever the run's length.
     """
-    steps: set[int] = set()
-    for col in (cols._pos[:len(cols)], cols._speed[:len(cols)]):
+    ends = np.array(cols._ends, dtype=np.intp)
+    starts = np.concatenate(([0], ends[:-1]))
+    flagged: dict[int, list[int]] = {}
+    for col, first in ((cols._pos, starts), (cols._speed, 2 * starts - ends)):
+        col = col[:len(cols)]
         for a in range(0, col.size, _TEST_BLOCK):
             rows = a + _out_of_range(col[a:a + _TEST_BLOCK])
-            steps.update(np.searchsorted(cols._ends, rows, side="right").tolist())
-    return steps
+            steps = np.searchsorted(ends, rows, side="right")
+            for k, i in zip(steps.tolist(), (rows - first[steps]).tolist()):
+                flagged.setdefault(k, []).append(i)
+    return flagged
 
 
 def _write_rows(fh, cols: TrajectorySamples) -> None:
@@ -383,12 +388,12 @@ def _write_rows(fh, cols: TrajectorySamples) -> None:
     A population's rows are one template list, six strings per vehicle
     (time, ``,id,``, position, ``,``, speed, ``\\r\\n``), made again only when
     the step's id list changes. Each step fills in its time and floats, then
-    joins the list in one write. Only the steps that :func:`_flagged_steps`
-    names have their floats tested again, one by one.
+    joins the list in one write; :func:`_flagged_fields` names the floats
+    that ``repr`` formats.
     """
     field: dict[str, str] = {}  # vehicle id -> its CSV field
     ids = row = None
-    flagged = _flagged_steps(cols)
+    flagged = _flagged_fields(cols)
     steps = zip(cols.times, cols.ids, cols.positions, cols.speeds)
     for k, (time, step_ids, pos, speed) in enumerate(steps):
         if step_ids is not ids:
@@ -399,7 +404,7 @@ def _write_rows(fh, cols: TrajectorySamples) -> None:
             row = [None, None, None, ",", None, "\r\n"] * len(ids)
             row[1::6] = [f",{field[v]}," for v in ids]
         n = len(ids)
-        fields = _float_fields(np.concatenate((pos, speed)), k in flagged)
+        fields = _float_fields(np.concatenate((pos, speed)), flagged.get(k, ()))
         row[0::6] = [repr(time)] * n
         row[2::6] = fields[:n]
         row[4::6] = fields[n:]
