@@ -21,6 +21,11 @@ one ``World.route_index()``: the vehicles on each route sorted by arc. All
 per-vehicle state is one table, ``_COLUMNS`` and ``_LISTS``: an add writes
 every column, a removal compacts them all, and storage grows by doubling.
 
+A vehicle without a leader (``lead_idx`` -1) has an infinite gap: every
+write of the links keeps this rule. So the step reads the links as stored:
+the IDM interaction term and the failsafe cap of an infinite gap are those
+of an open road, whichever speed ``lead_idx`` -1 picks up.
+
 The step also reads values derived from the table. Each is refreshed where
 the table column it comes from is written, never by the step, so none can
 go stale whatever the call order:
@@ -28,16 +33,10 @@ go stale whatever the call order:
 - after every add and removal (``World._bind``): where each row's draws
   start in the flattened noise blocks, the noisy mask and whether any
   vehicle is noisy, the draws left before a block is used up,
-  ``2*sqrt(a_max*b)`` and whether every ``delta`` is 4, whether every
-  vehicle is on a loop, whether the network is closed, and the leader
-  mask;
+  ``2*sqrt(a_max*b)`` and whether every ``delta`` is 4;
 - ``World._noise``, which moves the draw positions: the draws left,
   counted down each draw and counted again after a refill;
-- ``set_params``: ``2*sqrt(a_max*b)`` of the row, and the ``delta`` test;
-- ``set_links`` and ``rebuild_links``: the leader mask, kept as ``None``
-  when every vehicle has a leader, so a ring step uses the links as they
-  are, without the ``np.where`` against the mask;
-- ``add_inflow``: whether the network is closed.
+- ``set_params``: ``2*sqrt(a_max*b)`` of the row, and the ``delta`` test.
 """
 from __future__ import annotations
 
@@ -334,6 +333,7 @@ class World:
         self._seedseq = np.random.SeedSequence(seed)
         self.reservations = {cp.id: _Reservation() for cp in network.conflict_points}
         self.removed_count = 0
+        self._loops_only = all(route.cyclic for route in network.routes.values())
 
     # -- construction ------------------------------------------------------
 
@@ -343,7 +343,8 @@ class World:
 
     @property
     def is_closed(self) -> bool:
-        return self._closed
+        """No inflows, and every route of the network is a loop."""
+        return not self.inflows and self._loops_only
 
     def spawn_stream(self) -> np.random.Generator:
         """Next child RNG stream; allocation order is the determinism key."""
@@ -405,17 +406,11 @@ class World:
         self._noisy = self._noise_std > 0.0
         self._any_noisy = bool(self._noisy.any())
         self._count_draws_left()
-        # the IDM kernel's keywords: the parameter columns and two values derived from them
-        self._idm = dict(self._p, two_sqrt_ab=2.0 * np.sqrt(self._p["a_max"] * self._p["b"]),
+        # the IDM kernel's keywords: the parameter columns but ``b``, which it reads
+        # only through ``2*sqrt(a_max*b)``, and whether every ``delta`` is 4
+        self._idm = {k: col for k, col in self._p.items() if k != "b"}
+        self._idm.update(two_sqrt_ab=2.0 * np.sqrt(self._p["a_max"] * self._p["b"]),
                          delta_is_4=bool((self._p["delta"] == 4.0).all()))
-        self._all_cyclic = bool(self._cyclic.all())
-        self._closed = not self.inflows and self._all_cyclic
-        self._derive_links()
-
-    def _derive_links(self) -> None:
-        """The leader mask the step reads; ``None`` when every vehicle has a leader."""
-        has_lead = self.lead_idx >= 0
-        self._has_lead = None if has_lead.all() else has_lead
 
     def add_inflow(self, route_id: str, rate_vph: float, cav_fraction: float = 0.0,
                    id_prefix: str = "veh") -> None:
@@ -424,7 +419,6 @@ class World:
         mix_rng = self.spawn_stream() if cav_fraction > 0 else None
         self.inflows.append(_Inflow(route_id, rate_vph, self.spawn_stream(),
                                     cav_fraction, mix_rng, id_prefix))
-        self._closed = False
 
     # -- inspection --------------------------------------------------------
 
@@ -455,12 +449,13 @@ class World:
 
         Scenario setup uses this to start uniform closed-network flows with
         bit-identical gaps for every vehicle. Each needs one entry per vehicle.
+        A row whose leader is -1 stores an infinite gap, whatever it is given.
         """
         if np.shape(lead_idx) != (self.size,) or np.shape(gap) != (self.size,):
             raise ValueError(f"set_links needs {self.size} leader indices and gaps")
         self.lead_idx[:] = lead_idx
         self.gap[:] = gap
-        self._derive_links()
+        self.gap[self.lead_idx < 0] = np.inf
 
     def route_index(self) -> RouteIndex:
         """Sort the vehicles present on each route by their arc along it.
@@ -511,7 +506,6 @@ class World:
             pos, d = index.ahead(route, k, 1)
             self.lead_idx[order[k]] = order[pos]
             self.gap[order[k]] = d - index.extent[route.id][pos]
-        self._derive_links()
 
     # -- conflict-point gating ----------------------------------------------
 
@@ -639,15 +633,13 @@ class World:
                 index = self.route_index()
         return index
 
-    def _remove_finished(self) -> None:
-        """Drop vehicles whose front bumper passed an open route's sink."""
-        if self._all_cyclic:
+    def _remove_finished(self, done: np.ndarray) -> None:
+        """Drop the rows ``done``: vehicles whose front bumper passed an open route's sink."""
+        if not done.size:
             return
-        done = ~self._cyclic & (self.arc >= self._route_len)
-        if not done.any():
-            return
-        keep = ~done
-        self.removed_count += int(done.sum())
+        keep = np.ones(self.size, dtype=bool)
+        keep[done] = False
+        self.removed_count += done.size
         # renumber links; a vehicle whose leader left is now a route's front
         linked = (self.lead_idx >= 0) & keep[self.lead_idx]
         self.lead_idx[:] = np.where(linked, np.cumsum(keep)[self.lead_idx] - 1, -1)
@@ -699,13 +691,8 @@ def step(world: World, dt: float) -> None:
 
     v = world.speed
     lead = world.lead_idx
-    has_lead = world._has_lead  # None: every vehicle has a leader
-    if has_lead is None:
-        lead_speed = v[lead]
-        gap = world.gap
-    else:
-        lead_speed = np.where(has_lead, v[lead], v)
-        gap = np.where(has_lead, world.gap, np.inf)
+    lead_speed = v[lead]  # any speed without a leader: its gap is inf
+    gap = world.gap
     world._check_gaps()
 
     dv = v - lead_speed
@@ -726,15 +713,12 @@ def step(world: World, dt: float) -> None:
     v_new = np.minimum(v_new, np.maximum(cap, 0.0), out=world.speed)
 
     world.arc += v_new * dt
-    over = world.arc >= world._route_len
-    if not world._all_cyclic:
-        over &= world._cyclic
-    wrapped = over.nonzero()[0]
-    if wrapped.size:
-        world.arc[wrapped] -= world._route_len[wrapped]
-    if has_lead is None:
-        world.gap += (v_new[lead] - v_new) * dt
-    else:
-        world.gap += np.where(has_lead, v_new[lead] - v_new, 0.0) * dt
+    past = (world.arc >= world._route_len).nonzero()[0]  # rows past their route's end
+    at_sink = past
+    if past.size:  # those on a loop wrap; the rest leave at their route's sink
+        on_loop = world._cyclic[past]
+        world.arc[past[on_loop]] -= world._route_len[past[on_loop]]
+        at_sink = past[~on_loop]
+    world.gap += (v_new[lead] - v_new) * dt  # inf stays inf
     world._check_gaps()
-    world._remove_finished()
+    world._remove_finished(at_sink)

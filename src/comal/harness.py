@@ -332,54 +332,22 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[1:-2]  # drop the leading delimiter and the "\r\n"
 
 
-_TEST_BLOCK = 1 << 16  # values of a column tested for orjson's range at once
-
-
-def _out_of_range(col: np.ndarray) -> np.ndarray:
-    """Indices of the floats of ``col`` that orjson does not write as ``repr``.
+def _float_fields(col: np.ndarray) -> list[str]:
+    """``repr`` of every float64 in the 1-D array ``col``, formatted natively.
 
     orjson writes the same shortest round-trip digits as ``repr`` and
     differs only in exponent style (``0.00001`` for ``1e-05``, ``1e16`` for
-    ``1e+16``) and in writing ``null`` for nan and inf. So its text stands
-    for 0, -0 and every ``1e-4 <= |x| < 1e16``; the rest are flagged:
-    nonzero ``|x| < 1e-4``, ``|x| >= 1e16``, nan and inf.
-    """
-    mag = np.abs(col)
-    return np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (col != 0))
-
-
-def _float_fields(col: np.ndarray, flagged=None) -> list[str]:
-    """``repr`` of every float64 in the 1-D array ``col``, formatted natively.
-
-    orjson formats the array and ``repr`` rewrites the values at the indices
-    ``flagged``: those :func:`_out_of_range` finds, found here when omitted.
+    ``1e+16``) and in writing ``null`` for nan and inf. So its text is kept
+    for 0, -0 and every ``1e-4 <= |x| < 1e16``, and ``repr`` formats the
+    rest: nonzero ``|x| < 1e-4``, ``|x| >= 1e16``, nan and inf.
     """
     if not col.size:
         return []
     fields = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    for i in _out_of_range(col).tolist() if flagged is None else flagged:
+    mag = np.abs(col)
+    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (col != 0)).tolist():
         fields[i] = repr(float(col[i]))
     return fields
-
-
-def _flagged_fields(cols: TrajectorySamples) -> dict[int, list[int]]:
-    """Step -> the indices :func:`_out_of_range` flags among its floats.
-
-    A step's floats are its positions, then its speeds, as :func:`_write_rows`
-    formats them. Each column is tested in blocks of ``_TEST_BLOCK`` values,
-    so the test's temporaries stay small whatever the run's length.
-    """
-    ends = np.array(cols._ends, dtype=np.intp)
-    starts = np.concatenate(([0], ends[:-1]))
-    flagged: dict[int, list[int]] = {}
-    for col, first in ((cols._pos, starts), (cols._speed, 2 * starts - ends)):
-        col = col[:len(cols)]
-        for a in range(0, col.size, _TEST_BLOCK):
-            rows = a + _out_of_range(col[a:a + _TEST_BLOCK])
-            steps = np.searchsorted(ends, rows, side="right")
-            for k, i in zip(steps.tolist(), (rows - first[steps]).tolist()):
-                flagged.setdefault(k, []).append(i)
-    return flagged
 
 
 def _write_rows(fh, cols: TrajectorySamples) -> None:
@@ -388,14 +356,11 @@ def _write_rows(fh, cols: TrajectorySamples) -> None:
     A population's rows are one template list, six strings per vehicle
     (time, ``,id,``, position, ``,``, speed, ``\\r\\n``), made again only when
     the step's id list changes. Each step fills in its time and floats, then
-    joins the list in one write; :func:`_flagged_fields` names the floats
-    that ``repr`` formats.
+    joins the list in one write.
     """
     field: dict[str, str] = {}  # vehicle id -> its CSV field
     ids = row = None
-    flagged = _flagged_fields(cols)
-    steps = zip(cols.times, cols.ids, cols.positions, cols.speeds)
-    for k, (time, step_ids, pos, speed) in enumerate(steps):
+    for time, step_ids, pos, speed in zip(cols.times, cols.ids, cols.positions, cols.speeds):
         if step_ids is not ids:
             ids = step_ids
             for v in ids:
@@ -404,7 +369,7 @@ def _write_rows(fh, cols: TrajectorySamples) -> None:
             row = [None, None, None, ",", None, "\r\n"] * len(ids)
             row[1::6] = [f",{field[v]}," for v in ids]
         n = len(ids)
-        fields = _float_fields(np.concatenate((pos, speed)), flagged.get(k, ()))
+        fields = _float_fields(np.concatenate((pos, speed)))
         row[0::6] = [repr(time)] * n
         row[2::6] = fields[:n]
         row[4::6] = fields[n:]

@@ -4,20 +4,15 @@ import numpy as np
 BACKEND = "python"  # recorded by the benchmark with each result file
 
 
-def idm_acceleration(v, dv, gap, v0, T, a_max, b, delta, s0, *,
-                     two_sqrt_ab=None, delta_is_4=None):
+def idm_acceleration(v, dv, gap, v0, T, a_max, delta, s0, two_sqrt_ab, delta_is_4):
     """Car-following acceleration for each vehicle.
 
     ``dv`` is ego speed minus leader speed (closing rate, m/s); ``gap`` is
     the bumper-to-bumper headway (m, +inf for an open road ahead). All
     per-vehicle parameter arrays must be broadcast-compatible with ``v``.
-    A caller that keeps them may pass ``2*sqrt(a_max*b)`` and whether every
-    ``delta`` is 4; either is derived from the parameters when omitted.
+    The comfortable deceleration ``b`` enters only as ``two_sqrt_ab``,
+    ``2*sqrt(a_max*b)``; ``delta_is_4`` says whether every ``delta`` is 4.
     """
-    if two_sqrt_ab is None:
-        two_sqrt_ab = 2.0 * np.sqrt(a_max * b)
-    if delta_is_4 is None:
-        delta_is_4 = np.all(delta == 4.0)
     s_star = s0 + np.maximum(0.0, v * T + v * dv / two_sqrt_ab)
     z = s_star / gap
     x = v / v0

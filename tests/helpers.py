@@ -59,6 +59,13 @@ def uniform_ring_world(n=22, length=230.0, speed_limit=30.0, noise_std=0.0,
     return w
 
 
+def idm_args(p):
+    """The IDM kernel's keywords, all derived here from the parameter columns ``p``."""
+    return dict(v0=p["v0"], T=p["T"], a_max=p["a_max"], delta=p["delta"], s0=p["s0"],
+                two_sqrt_ab=2.0 * np.sqrt(p["a_max"] * p["b"]),
+                delta_is_4=bool(np.all(p["delta"] == 4.0)))
+
+
 def reference_step(world, dt):
     """``dynamics.step`` as it read the table afresh every step.
 
@@ -94,12 +101,12 @@ def reference_step(world, dt):
     world._check_gaps()
 
     dv = v - lead_speed
-    acc = kernels.idm_acceleration(v, dv, gap, **world._p)
+    acc = kernels.idm_acceleration(v, dv, gap, **idm_args(world._p))
     cap = kernels.safe_speed(gap, lead_speed, dt, world.b_max)
 
     vgap = world._virtual_gaps(dist)
     if vgap is not None:
-        acc_v = kernels.idm_acceleration(v, v, vgap, **world._p)
+        acc_v = kernels.idm_acceleration(v, v, vgap, **idm_args(world._p))
         acc = np.minimum(acc, acc_v)
         cap = np.minimum(cap, kernels.safe_speed(vgap, np.zeros(n), dt, world.b_max))
 

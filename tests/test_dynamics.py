@@ -14,8 +14,9 @@ from comal import network as net
 from comal import scenario as sc
 from comal.agent import perceive
 
-from helpers import (PROPERTY_NETWORKS, assert_index_matches_reference, perception_worlds,
-                     reference_links, reference_step, signed_dist_to, uniform_ring_world)
+from helpers import (PROPERTY_NETWORKS, assert_index_matches_reference, idm_args,
+                     perception_worlds, reference_links, reference_step, signed_dist_to,
+                     uniform_ring_world)
 
 P = dyn.IdmParams(v0=30.0, T=1.0, a_max=1.0, b=1.5, delta=4.0, s0=2.0)
 
@@ -97,7 +98,7 @@ class TestEquilibriumSpeed:
         grid = np.arange(0.0, P.v0, 1e-4)
         acc = kernels.idm_acceleration(
             grid, np.zeros_like(grid), np.full_like(grid, gap),
-            *[np.full_like(grid, getattr(P, k)) for k in ("v0", "T", "a_max", "b", "delta", "s0")])
+            **idm_args({k: np.full_like(grid, getattr(P, k)) for k in dyn._PARAM_KEYS}))
         signs = np.sign(acc)
         changes = np.flatnonzero(np.diff(signs) != 0)
         assert len(changes) == 1
@@ -154,8 +155,8 @@ class TestKernels:
         dv = rng.uniform(-5, 5, n)
         gap = rng.uniform(0.5, 200, n)
         gap[::17] = np.inf
-        pars = [np.full(n, x) for x in (30.0, 1.0, 1.0, 1.5, 4.0, 2.0)]
-        a = kernels.idm_acceleration(v, dv, gap, *pars)
+        pars = {k: np.full(n, getattr(P, k)) for k in dyn._PARAM_KEYS}
+        a = kernels.idm_acceleration(v, dv, gap, **idm_args(pars))
         for i in range(n):
             assert a[i] == pytest.approx(dyn.idm_accel(P, v[i], dv[i], gap[i]), rel=1e-12)
 
@@ -243,6 +244,16 @@ class TestStep:
         assert exc.value.ego_id == w.ids[2] and exc.value.gap == bad_gap
         np.testing.assert_array_equal(w.arc, arc)
         np.testing.assert_array_equal(w.speed, speed)
+
+    def test_a_vehicle_without_a_leader_cannot_collide(self):
+        # a row whose leader is -1 stores an infinite gap, whatever gap it is given
+        w = uniform_ring_world(n=5, length=100.0)
+        lead, gaps = w.lead_idx.copy(), w.gap.copy()
+        lead[2], gaps[2] = -1, -3.0
+        w.set_links(lead, gaps)
+        assert w.lead_idx[2] == -1 and w.gap[2] == np.inf
+        dyn.step(w, 0.1)
+        assert w.gap[2] == np.inf
 
     def test_params_swap_takes_effect_next_step(self):
         w = uniform_ring_world(n=3, length=300.0)
