@@ -22,6 +22,9 @@ one ``World.route_index()``: the vehicles on each route sorted by arc. All
 per-vehicle state is one table, ``_COLUMNS`` and ``_LISTS``: an add writes
 every column, a removal compacts them all, and storage grows by doubling.
 
+Each conflict point is one first-come-first-served queue whose head holds
+it; gating serves each queue in one pass per step (``World._gate``).
+
 A vehicle without a leader (``lead_idx`` -1) has an infinite gap: every
 write of the links keeps this rule. So the step reads the links as stored:
 the IDM interaction term and the failsafe cap of an infinite gap are those
@@ -38,7 +41,7 @@ go stale whatever the call order:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -219,19 +222,6 @@ def failsafe_speed(v: float, gap: float, leader_speed: float, dt: float,
     return min(v, max(v_safe, 0.0))
 
 
-@dataclass
-class _Reservation:
-    """First-come-first-served state of one conflict point.
-
-    ``queue`` maps each waiting vehicle id to the (route id, arc) it
-    approaches, in enrolment order; the first entry is served next.
-    """
-
-    holder: str | None = None
-    holder_key: tuple[str, float] | None = None  # (route_id, arc) being crossed
-    queue: dict[str, tuple[str, float]] = field(default_factory=dict)
-
-
 class _Inflow:
     """Poisson arrival process feeding one open route."""
 
@@ -330,7 +320,8 @@ class World:
         self._noise_at = 0  # the noise block column every vehicle reads next
         self._index: dict[str, int] = {}
         self._seedseq = np.random.SeedSequence(seed)
-        self.reservations = {cp.id: _Reservation() for cp in network.conflict_points}
+        # conflict point id -> {vehicle id: (route id, arc)} in arrival order; the head holds it
+        self.reservations = {cp.id: {} for cp in network.conflict_points}
         self.removed_count = 0
         self._loops_only = all(route.cyclic for route in network.routes.values())
 
@@ -524,47 +515,46 @@ class World:
                 dist[route_id, cp_arc][index.order[route_id]] = d
         return dist
 
-    def _update_reservations(self, dist: dict[tuple[str, float], np.ndarray]) -> None:
+    def _gate(self, index: RouteIndex) -> np.ndarray | None:
+        """Serve each conflict point's first-come-first-served queue, in one pass.
+
+        ``reservations[cp.id]`` maps each vehicle id to the (route id, arc) it
+        approaches, in arrival order; the first entry holds the point. The
+        holder lets go once its rear has cleared its arc or it has left the
+        world, before vehicles inside the approach window join at the back
+        (index order among those arriving in the same step), so a released
+        holder queues again behind the others. Entries that left the window
+        region or the world drop.
+
+        Returns the distance to each held point, seen as a stopped leader:
+        inf where unconstrained, None when no point is held. The holder itself
+        is never constrained, and a vehicle already on or past the point is
+        left alone.
+        """
+        dist = self._gate_distances(index)
+        vgap = None
         for cp in self.network.conflict_points:
-            res = self.reservations[cp.id]
-            # release a holder whose rear has cleared the point (or vanished)
-            if res.holder is not None:
-                hi = self._index.get(res.holder)
+            queue = self.reservations[cp.id]
+            if queue:
+                vid, key = next(iter(queue.items()))
+                i = self._index.get(vid)
                 # NaN (off the route) compares false, so it clears too
-                if hi is None or not dist[res.holder_key][hi] >= -self.length[hi]:
-                    res.holder = None
-                    res.holder_key = None
-            # enroll vehicles inside the approach window, in arrival order
-            # (index order among those arriving in the same step)
+                if i is None or not dist[key][i] >= -self.length[i]:
+                    del queue[vid]
             inside = [(-self.length <= dist[key]) & (dist[key] <= cp.window)
                       for key in cp.points]
             for i in np.flatnonzero(np.logical_or.reduce(inside)):
-                vid = self.ids[i]
-                if vid != res.holder and vid not in res.queue:
-                    res.queue[vid] = next(key for key, m in zip(cp.points, inside) if m[i])
-            # drop queued vehicles that left the window region or the world
-            res.queue = {vid: key for vid, key in res.queue.items()
-                         if (j := self._index.get(vid)) is not None
-                         and dist[key][j] >= -self.length[j]}
-            if res.holder is None and res.queue:
-                res.holder, res.holder_key = next(iter(res.queue.items()))
-                del res.queue[res.holder]
-
-    def _virtual_gaps(self, dist: dict[tuple[str, float], np.ndarray]) -> np.ndarray | None:
-        """Distance to a reserved conflict point, seen as a stopped leader.
-
-        inf where unconstrained. The holder itself is never constrained, and
-        a vehicle already on or past the point is left alone.
-        """
-        vgap = None
-        for cp in self.network.conflict_points:
-            res = self.reservations[cp.id]
-            if res.holder is None:
+                queue.setdefault(self.ids[i],
+                                 next(key for key, m in zip(cp.points, inside) if m[i]))
+            queue = self.reservations[cp.id] = {
+                vid: key for vid, key in queue.items()
+                if (j := self._index.get(vid)) is not None and dist[key][j] >= -self.length[j]}
+            if not queue:
                 continue
             if vgap is None:
                 vgap = np.full(self.size, np.inf)
             not_holder = np.ones(self.size, dtype=bool)
-            not_holder[self._index[res.holder]] = False
+            not_holder[self._index[next(iter(queue))]] = False
             for key in cp.points:
                 d = dist[key]
                 vgap = np.where(not_holder & (d > 0.0), np.minimum(vgap, d), vgap)
@@ -656,14 +646,14 @@ class World:
 def step(world: World, dt: float) -> None:
     """Advance the world by one synchronous Euler step of length dt.
 
-    Order: arrivals and link refresh (open networks), conflict-point
-    bookkeeping, acceleration (most restrictive of real and virtual leader),
-    speed update with failsafe cap, position advance, incremental gap
-    update, collision check, sink removal. Links, gating and spawning read
-    one route index per step, built again only after a spawn; a ring
-    without conflict points builds none. What the step reads of the table
-    besides the state it moves is derived where the table is written (see
-    the module docstring).
+    Order: arrivals and link refresh (open networks), gating in one pass
+    per conflict point over its queue, acceleration (most restrictive of
+    real and virtual leader), speed update with failsafe cap, position
+    advance, incremental gap update, collision check, sink removal. Links,
+    gating and spawning read one route index per step, built again only
+    after a spawn; a ring without conflict points builds none. What the
+    step reads of the table besides the state it moves is derived where the
+    table is written (see the module docstring).
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -671,10 +661,9 @@ def step(world: World, dt: float) -> None:
     if not world.is_closed:
         index = world._process_arrivals()
         world.rebuild_links(index)
-    dist = {}
+    vgap = None
     if world.reservations:
-        dist = world._gate_distances(index or world.route_index())
-        world._update_reservations(dist)
+        vgap = world._gate(index or world.route_index())
     n = world.size
     world.step_count += 1
     world.time = round(world.step_count * dt, 9)
@@ -691,7 +680,6 @@ def step(world: World, dt: float) -> None:
     acc = kernels.idm_acceleration(v, dv, gap, **world._idm)
     cap = kernels.safe_speed(gap, lead_speed, dt, world.b_max)
 
-    vgap = world._virtual_gaps(dist)
     if vgap is not None:
         acc_v = kernels.idm_acceleration(v, v, vgap, **world._idm)
         acc = np.minimum(acc, acc_v)

@@ -492,7 +492,7 @@ def sweep(cells: list[SweepCell], seeds, workers: int = 1) -> SweepTable:
 
     Cell labels must be unique. Errors are recorded per cell and do not
     stop the sweep. With ``workers > 1`` independent runs execute in
-    parallel processes; results are identical to the sequential order.
+    parallel spawned processes; results are identical to the sequential order.
     """
     seeds = list(seeds)
     if not seeds:
@@ -503,9 +503,12 @@ def sweep(cells: list[SweepCell], seeds, workers: int = 1) -> SweepTable:
         raise ValueError(f"duplicate sweep labels: {dupes}")
     jobs = [(cell.label, cell.config.replace(seed=seed)) for cell in cells for seed in seeds]
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # here: most sweeps are sequential
+        import multiprocessing  # here: most sweeps are sequential
+        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # spawned, not forked: numpy has already started threads in this process
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             outcomes = list(pool.map(_run_cell, jobs))
     else:
         outcomes = [_run_cell(job) for job in jobs]

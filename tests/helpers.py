@@ -75,7 +75,9 @@ def reference_step(world, dt):
     the noisy mask, the row numbers and the noise scale are all computed
     here from the table, as are the noise draws and the sink removal
     (:func:`reference_noise`, :func:`reference_remove_finished`), so no
-    value the world derives reaches this step.
+    value the world derives reaches this step. Gating runs the retired
+    passes (:func:`reference_update_reservations`,
+    :func:`reference_virtual_gaps`) in place of ``World._gate``.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -83,10 +85,10 @@ def reference_step(world, dt):
     if not (not world.inflows and bool(world._cyclic.all())):
         index = world._process_arrivals()
         world.rebuild_links(index)
-    dist = {}
+    dist, views = {}, {}
     if world.reservations:
         dist = world._gate_distances(index or world.route_index())
-        world._update_reservations(dist)
+        views = reference_update_reservations(world, dist)
     n = world.size
     world.step_count += 1
     world.time = round(world.step_count * dt, 9)
@@ -104,7 +106,7 @@ def reference_step(world, dt):
     acc = kernels.idm_acceleration(v, dv, gap, **idm_args(world._p))
     cap = kernels.safe_speed(gap, lead_speed, dt, world.b_max)
 
-    vgap = world._virtual_gaps(dist)
+    vgap = reference_virtual_gaps(world, dist, views)
     if vgap is not None:
         acc_v = kernels.idm_acceleration(v, v, vgap, **idm_args(world._p))
         acc = np.minimum(acc, acc_v)
@@ -125,6 +127,61 @@ def reference_step(world, dt):
     world.gap += np.where(has_lead, v_new[lead] - v_new, 0.0) * dt
     world._check_gaps()
     reference_remove_finished(world)
+
+
+def reference_update_reservations(world, dist):
+    """The retired gating passes: release, enrol, drop and promote, each point
+    on a (holder, holder key, waiting) view of its queue, written back head
+    first. Returns the views."""
+    views = {}
+    for cp in world.network.conflict_points:
+        queue = world.reservations[cp.id]
+        holder, holder_key = next(iter(queue.items()), (None, None))
+        waiting = {vid: key for vid, key in queue.items() if vid != holder}
+        # release a holder whose rear has cleared the point (or vanished)
+        if holder is not None:
+            hi = world._index.get(holder)
+            # NaN (off the route) compares false, so it clears too
+            if hi is None or not dist[holder_key][hi] >= -world.length[hi]:
+                holder = holder_key = None
+        # enroll vehicles inside the approach window, in arrival order
+        # (index order among those arriving in the same step)
+        inside = [(-world.length <= dist[key]) & (dist[key] <= cp.window)
+                  for key in cp.points]
+        for i in np.flatnonzero(np.logical_or.reduce(inside)):
+            vid = world.ids[i]
+            if vid != holder and vid not in waiting:
+                waiting[vid] = next(key for key, m in zip(cp.points, inside) if m[i])
+        # drop waiting vehicles that left the window region or the world
+        waiting = {vid: key for vid, key in waiting.items()
+                   if (j := world._index.get(vid)) is not None
+                   and dist[key][j] >= -world.length[j]}
+        if holder is None and waiting:
+            holder, holder_key = next(iter(waiting.items()))
+            del waiting[holder]
+        views[cp.id] = holder, holder_key, waiting
+        world.reservations[cp.id] = ({} if holder is None else {holder: holder_key}) | waiting
+    return views
+
+
+def reference_virtual_gaps(world, dist, views):
+    """The retired virtual-gap pass over the views of
+    :func:`reference_update_reservations`: the distance to a held conflict
+    point, seen as a stopped leader; inf where unconstrained, None when no
+    point is held."""
+    vgap = None
+    for cp in world.network.conflict_points:
+        holder = views[cp.id][0]
+        if holder is None:
+            continue
+        if vgap is None:
+            vgap = np.full(world.size, np.inf)
+        not_holder = np.ones(world.size, dtype=bool)
+        not_holder[world._index[holder]] = False
+        for key in cp.points:
+            d = dist[key]
+            vgap = np.where(not_holder & (d > 0.0), np.minimum(vgap, d), vgap)
+    return vgap
 
 
 def reference_noise(world, dt):

@@ -137,7 +137,8 @@ class TestExport:
         paths = export(result, tmp_path)
         back = import_trajectories(paths["trajectories"])
         assert back == result.samples
-        doc = json.loads(open(paths["metrics"]).read())
+        with open(paths["metrics"]) as f:
+            doc = json.load(f)
         assert doc["avg_speed"] == result.avg_speed
         assert doc["speed_std"] == result.speed_std
         assert doc["seed"] == result.seed
@@ -580,10 +581,16 @@ class TestSweep:
         assert "ValueError" in by_label["bad"]["errors"]
         assert by_label["good"]["n_ok"] == 1
 
-    def test_parallel_equals_sequential(self):
+    def test_parallel_equals_sequential(self, monkeypatch):
         cells = [SweepCell("mini", MINI_RING)]
         seq = sweep(cells, seeds=[0, 1], workers=1)
-        par = sweep(cells, seeds=[0, 1], workers=2)
+
+        def no_fork():
+            raise AssertionError("os.fork called: workers must be spawned")
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", no_fork)
+            par = sweep(cells, seeds=[0, 1], workers=2)
         assert seq.rows == par.rows
 
     def test_csv_and_table_render(self):

@@ -27,12 +27,14 @@ class StubServer:
     """Tiny chat-completion endpoint whose behavior is a queue of actions.
 
     Each action is ("reply", text), ("status", code) or ("stall", seconds);
-    when the queue empties the last action repeats.
+    when the queue empties the last action repeats. A stall that ``close``
+    cuts short returns without writing to the socket the client has left.
     """
 
     def __init__(self, actions):
         self.actions = list(actions)
         self.requests = []
+        self.closing = threading.Event()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -42,7 +44,8 @@ class StubServer:
                 action = outer.actions.pop(0) if len(outer.actions) > 1 else outer.actions[0]
                 kind, arg = action
                 if kind == "stall":
-                    time.sleep(arg)
+                    if outer.closing.wait(arg):
+                        return
                     kind, arg = "status", 500
                 if kind == "status":
                     self.send_response(arg)
@@ -69,6 +72,7 @@ class StubServer:
         return f"http://{host}:{port}/v1/chat/completions"
 
     def close(self):
+        self.closing.set()
         self.server.shutdown()
         self.server.server_close()
 
