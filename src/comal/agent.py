@@ -198,9 +198,6 @@ def _render(map_line: str, ego_line: str, neighbors_line: str) -> str:
     return f"{map_line}\n{ego_line}\n{neighbors_line}"
 
 
-_NO_VEHICLE = np.iinfo(np.intp).max  # above every vehicle index
-
-
 def perceive(world, ego_id: str, horizon: float, index=None) -> SceneDescription:
     """Render the scene around ``ego_id``: :func:`perceive_all` for one vehicle."""
     return perceive_all(world, [ego_id], horizon, index)[0]
@@ -209,15 +206,16 @@ def perceive(world, ego_id: str, horizon: float, index=None) -> SceneDescription
 def perceive_all(world, ego_ids, horizon: float, index=None) -> list[SceneDescription]:
     """Render the scene around each vehicle of ``ego_ids``, in that order.
 
-    The leader is the nearest vehicle ahead on the ego route (ties go to the
-    lowest vehicle index; alone on a loop, the ego leads itself one lap
-    ahead). Neighbors are the vehicles ahead within ``horizon`` meters of
-    bumper gap, nearest first. Rendering is a pure function of the world
-    state: identical worlds yield identical bytes.
+    The leader is the one leader links take (``RouteIndex.leader``): the
+    next vehicle in the ego route's (arc, index) order, even at an equal
+    arc; alone on a loop, the ego leads itself one lap ahead. Neighbors are
+    the vehicles ahead within ``horizon`` meters of bumper gap, nearest
+    first. Rendering is a pure function of the world state: identical
+    worlds yield identical bytes.
 
     ``index`` is the world's current ``route_index()``, built when omitted.
     The egos of one route are perceived together, in one pass of numpy over
-    their windows of the route's sorted order (see ``_perceive_route``).
+    their neighbor windows of the route's sorted order (see ``_perceive_route``).
     Each scene's text is rendered in the same pass, from the ``[MAP]`` line
     built once per route and from tables built once per pass, keyed by
     vehicle row, of every listed neighbor's entry (see :func:`_neighbors_lines`).
@@ -250,72 +248,45 @@ def _perceive_route(world, index, route_id: str, egos: list[int], horizon: float
     each with the route's ``[MAP]`` line and its neighbors as
     :func:`_neighbors_lines` lists them; ``speed`` is ``world.speed`` as a list.
 
-    Each ego's candidates are a contiguous slice of the route order after
-    it, wrapped on a loop so that a full lap ends on the ego itself. Forward
-    arcs come from ``RouteIndex.ahead`` and extents from ``RouteIndex.extent``,
-    the geometry leader links read too. The leader, though, is the nearest
-    strictly positive forward arc, as ``network.leader_of`` chooses it, not
-    the next rank (see ``dynamics.RouteIndex``). No extent exceeds the
-    longest vehicle, so every neighbor's forward arc is at most ``limit``;
-    ``np.searchsorted`` bounds that slice, widened by a margin far above
-    rounding error (the exact tests below decide, so a wider slice only
-    costs time). A leader found within ``limit`` has every nearer or tied
-    vehicle in the slice too; an ego whose leader is farther away is looked
-    at again over its whole lap or the rest of its open route.
+    The leader and headway are ``RouteIndex.leader``'s, as leader links
+    read them. Each ego's neighbor candidates are a contiguous slice of the
+    route order after it, wrapped on a loop up to the rank before its own;
+    forward arcs come from ``RouteIndex.ahead`` and extents from
+    ``RouteIndex.extent``. No extent exceeds the longest vehicle, so every
+    neighbor's forward arc is at most ``limit``; ``np.searchsorted`` bounds
+    that slice, widened by a margin far above rounding error (the exact
+    tests below decide, so a wider slice only costs time).
     """
     network = world.network
     route = network.route(route_id)
     order, arcs = index.order[route_id], index.arcs[route_id]
-    m, length = len(order), route.length
+    length = route.length
     ego = np.asarray(egos, dtype=np.intp)
     k = index.rank[route_id][ego]
     ego_arc = world.arc[ego]
+    lead_rows, headways = index.leader(route, k)
     limit = horizon + float(world.length.max())
     reach = ego_arc + limit
     reach += 1e-9 * (np.abs(ego_arc) + length + abs(limit))
-    whole = m - 1 - k  # the rest of an open route
-    span = np.minimum(np.maximum(np.searchsorted(arcs, reach, side="right") - k - 1, 0), whole)
+    span = np.minimum(np.maximum(np.searchsorted(arcs, reach, side="right") - k - 1, 0),
+                      len(order) - 1 - k)
     if route.cyclic:  # arcs lie in [0, length): the wrapped part starts at 0
-        span += np.minimum(np.searchsorted(arcs, reach - length, side="right"), k + 1)
-        whole = np.full(len(ego), m)
+        span += np.minimum(np.searchsorted(arcs, reach - length, side="right"), k)
+    t = np.arange(1, max(int(span.max()), 1) + 1)
+    pos, d = index.ahead(route, k[:, None], t)
+    gap = d - index.extent[route_id][pos]
+    rr, cc = np.nonzero((t <= span[:, None]) & (gap > 0.0) & (gap <= horizon))
     ids, kinds = world.ids, world.kinds
-    extent = index.extent[route_id]
-
-    def walk(rows, span):
-        """Each row's nearest forward gap, and its (leader or -1, headway, neighbors)."""
-        t = np.arange(1, max(int(span.max()), 1) + 1)
-        pos, d = index.ahead(route, k[rows, None], t)
-        j = order[pos]
-        ahead = (t <= span[:, None]) & (d > 0.0)
-        lead_d = np.where(ahead, d, np.inf)
-        nearest = lead_d.min(axis=1)
-        tied = ahead & (lead_d == nearest[:, None])
-        col = np.where(tied, j, _NO_VEHICLE).argmin(axis=1)
-        r = np.arange(len(rows))
-        lead_j = np.where(np.isfinite(nearest), j[r, col], -1)
-        headway = nearest - extent[pos[r, col]]
-        gap = d - extent[pos]
-        rr, cc = np.nonzero(ahead & (pos != k[rows, None]) & (gap > 0.0) & (gap <= horizon))
-        nj = j[rr, cc]
-        cuts = np.searchsorted(rr, np.arange(len(rows) + 1)).tolist()
-        keyed = [(g, ids[x], x) for x, g in zip(nj.tolist(), gap[rr, cc].tolist())]
-        near = [sorted(keyed[a:b]) for a, b in zip(cuts, cuts[1:])]  # by gap, then id
-        return nearest, list(zip(lead_j.tolist(), headway.tolist(), near))
-
-    nearest, found = walk(np.arange(len(ego)), span)
-    far = np.flatnonzero(~(nearest <= limit) & (span < whole))
-    if far.size:
-        for r, again in zip(far.tolist(), walk(far, whole[far])[1]):
-            found[r] = again
+    cuts = np.searchsorted(rr, np.arange(len(ego) + 1)).tolist()
+    keyed = [(g, ids[x], x) for x, g in zip(order[pos[rr, cc]].tolist(), gap[rr, cc].tolist())]
+    nears = [sorted(keyed[a:b]) for a, b in zip(cuts, cuts[1:])]  # by gap, then id
     tag, speed_limit = network.kind, network.speed_limit
     intersections = len(network.conflict_points)
     map_line = _map_line(tag, length, route.cyclic, speed_limit, intersections)
     scenes = []
-    for i, arc, (lead_j, headway, near) in zip(egos, ego_arc.tolist(), found):
-        if lead_j < 0:
-            leader_id, headway, leader_speed = None, math.inf, 0.0
-        else:
-            leader_id, leader_speed = ids[lead_j], speed[lead_j]
+    for i, arc, lead, headway, near in zip(egos, ego_arc.tolist(), lead_rows.tolist(),
+                                           headways.tolist(), nears):
+        leader_id, leader_speed = (ids[lead], speed[lead]) if lead >= 0 else (None, 0.0)
         scene = _scene(
             scenario_tag=tag, ego_id=ids[i], ego_speed=speed[i], headway=headway,
             leader_id=leader_id, leader_speed=leader_speed, speed_limit=speed_limit,
@@ -803,7 +774,6 @@ def reason(role: str, scene: SceneDescription | None, experiences,
         agent_id = scene.ego_id if scene is not None else "ego"
     user = _template("reason_user.txt").format(
         agent_id=agent_id, role=role,
-        rationale="Act accordingly.",
         scene=scene.text if scene is not None else "(scene unavailable)",
         experiences=render_experiences(experiences))
     turns = [_reason_system_turn(), ChatTurn("user", user)]

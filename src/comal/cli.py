@@ -8,7 +8,7 @@ import click
 
 from . import harness
 from . import scenario as sc
-from .llm_client import BackendConfig, TranscriptLog
+from .llm_client import DEFAULT_API_KEY_ENV, BackendConfig, TranscriptLog
 
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
 
@@ -99,11 +99,12 @@ def _resolve_config(name, config_path, seed, no_collab, no_memory, no_perception
               default=None, help="recorded transcript to replay")
 @click.option("--endpoint", default=DEFAULT_ENDPOINT, show_default=True)
 @click.option("--model", default="gpt-4o-mini", show_default=True)
-@click.option("--api-key-env", default="COMAL_API_KEY", show_default=True)
-@click.option("--temperature", type=float, default=0.0, show_default=True)
-@click.option("--timeout", type=click.FloatRange(min=0, min_open=True), default=30.0,
+@click.option("--api-key-env", default=DEFAULT_API_KEY_ENV, show_default=True)
+@click.option("--temperature", type=float, default=BackendConfig.temperature, show_default=True)
+@click.option("--timeout", type=click.FloatRange(min=0, min_open=True),
+              default=BackendConfig.timeout_s, show_default=True)
+@click.option("--retries", type=click.IntRange(min=0), default=BackendConfig.max_retries,
               show_default=True)
-@click.option("--retries", type=click.IntRange(min=0), default=3, show_default=True)
 def run_cmd(scenario_name, backend_name, seed, out_dir, config_path, no_collab,
             no_memory, no_perception, transcript_path, endpoint, model,
             api_key_env, temperature, timeout, retries):
@@ -128,11 +129,11 @@ def run_cmd(scenario_name, backend_name, seed, out_dir, config_path, no_collab,
     remote_config = BackendConfig(endpoint=endpoint, model=model,
                                   api_key_env=api_key_env, timeout_s=timeout,
                                   max_retries=retries, temperature=temperature)
-    backend = harness.make_backend(
-        backend_name, remote_config=remote_config,
-        transcript_path=transcript_path, log=log,
-        run_id=f"{cfg.name} seed={seed}")
     try:
+        backend = harness.make_backend(
+            backend_name, remote_config=remote_config,
+            transcript_path=transcript_path, log=log,
+            run_id=f"{cfg.name} seed={seed}")
         result = harness.run(cfg, backend)
     finally:
         if log is not None:

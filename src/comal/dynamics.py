@@ -263,11 +263,8 @@ class RouteIndex:
     -1 when j is not on that route. Valid until a vehicle moves, arrives or
     leaves.
 
-    Leader links and perception share this geometry: the extents and the
-    forward arcs of :meth:`ahead`. They choose the leader differently on
-    purpose. Links take the next rank even at an equal arc, so an overlap
-    reads as a non-positive gap and aborts the run; perception takes the
-    nearest strictly positive forward arc, as ``network.leader_of`` does.
+    :meth:`leader` is the one leader rule: leader links and perception both
+    read it.
     """
 
     order: dict[str, np.ndarray]
@@ -288,6 +285,20 @@ class RouteIndex:
             d %= route.length
             d[pos == k] = route.length
         return pos, d
+
+    def leader(self, route: Route, k):
+        """The leader's vehicle row and the bumper gap to it, for ranks ``k``
+        (an array) on ``route``: the next rank, even at an equal arc, so an
+        overlap reads as a non-positive gap; the gap is the forward arc of
+        :meth:`ahead` less the leader's extent. Alone on a loop, a vehicle
+        chases itself; the front of an open route gets row -1 and an
+        infinite gap."""
+        pos, d = self.ahead(route, k, 1)
+        rows, gap = self.order[route.id][pos], d - self.extent[route.id][pos]
+        if not route.cyclic:  # ahead stops at the front: the one rank it leaves in place
+            front = pos == k
+            rows[front], gap[front] = -1, np.inf
+        return rows, gap
 
 
 class World:
@@ -479,21 +490,14 @@ class World:
         """Derive leader links and bumper gaps from current positions.
 
         A gather on ``index``, the world's current ``route_index()`` (built
-        when omitted): each vehicle leads to the next rank on its own route,
-        even at an equal arc (see :class:`RouteIndex`), its gap the forward
-        arc less the leader's extent. The front of an open route has none.
+        when omitted): each vehicle's leader and gap are
+        :meth:`RouteIndex.leader` on its own route.
         """
-        self.lead_idx[:] = -1
-        self.gap[:] = np.inf
         index = index or self.route_index()
         for code, route in enumerate(self.network.routes.values()):
             order = index.order[route.id]
             k = np.flatnonzero(self._route_code[order] == code)  # the route's own vehicles
-            if not route.cyclic:
-                k = k[k < len(order) - 1]  # the front of an open route: nothing ahead
-            pos, d = index.ahead(route, k, 1)
-            self.lead_idx[order[k]] = order[pos]
-            self.gap[order[k]] = d - index.extent[route.id][pos]
+            self.lead_idx[order[k]], self.gap[order[k]] = index.leader(route, k)
 
     # -- conflict-point gating ----------------------------------------------
 

@@ -29,6 +29,13 @@ def safe_speed(gap, leader_speed, dt, b_max):
 
     One-step reaction delay ``dt`` is budgeted, so the cap is safe under
     synchronous position updates: v = -b*dt + sqrt((b*dt)^2 + v_l^2 + 2*b*g).
+
+    The guarantee holds behind a leader that brakes no harder than ``b_max``,
+    and not behind a merge's new leader, which appears at whatever gap
+    gating leaves. The IDM term and human noise can brake harder. The
+    reaction budget absorbs that at dt up to 0.5 s with noise up to 3 m/s^2
+    (``tests/test_dynamics.py::TestFailsafeGuarantee``), but not at every
+    larger dt.
     """
     bd = b_max * dt
     g = np.maximum(gap, 0.0)

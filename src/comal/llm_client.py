@@ -70,8 +70,9 @@ def complete(config: BackendConfig, turns: list[ChatTurn], *,
     """Return the first choice's text, retrying transient failures.
 
     Timeouts, 429 and 5xx responses back off exponentially (doubling base
-    delay plus up to 50% jitter); other HTTP errors surface immediately. A
-    missing API key fails before any network traffic.
+    delay plus up to 50% jitter); other HTTP errors surface immediately, as
+    does a reply whose content is missing or not a string. A missing API
+    key fails before any network traffic.
     """
     import requests  # here, not at the top: most runs never call out
 
@@ -95,9 +96,12 @@ def complete(config: BackendConfig, turns: list[ChatTurn], *,
         else:
             if resp.status_code == 200:
                 try:
-                    return resp.json()["choices"][0]["message"]["content"]
+                    content = resp.json()["choices"][0]["message"]["content"]
                 except (ValueError, KeyError, IndexError, TypeError) as exc:
                     raise LlmTransportError(f"malformed completion payload: {exc}")
+                if not isinstance(content, str):
+                    raise LlmTransportError(f"malformed completion payload: content {content!r}")
+                return content
             if resp.status_code == 429 or resp.status_code >= 500:
                 last_error = f"HTTP {resp.status_code}"
             else:

@@ -293,31 +293,29 @@ def visible_extent(network: NetworkSpec, ego_route: Route, leader_route_id: str,
 
 
 def leader_of(vehicle_id: str, world) -> tuple[str, float] | None:
-    """Nearest vehicle ahead along the ego route and the bumper gap to it.
+    """The vehicle after the ego on the ego route and the bumper gap to it.
 
-    The gap is arc distance minus the leader's visible length (its body
-    portion on the ego route). On a cyclic route a lone vehicle leads itself
-    (gap = route length - own length). Returns ``None`` on open networks
-    when nothing is ahead.
+    Every vehicle on the ego route, its own or projected from a shared
+    edge, is sorted by arc with ties in index order; the leader is the entry
+    after the ego, even at an equal arc. On a cyclic route the order wraps,
+    and a lone vehicle leads itself (gap = route length - own length). The
+    gap is the forward arc minus the leader's visible length (its body
+    portion on the ego route). Returns ``None`` at the front of an open route.
     """
     net = world.network
     i = world.index_of(vehicle_id)
     route = net.route(world.route_ids[i])
-    ego_arc = world.arc[i]
-    best_d = math.inf
-    best_j = -1
+    on_route = []  # (arc, index) of every vehicle on the ego route
     for j in range(world.size):
         arc_j = project_onto_route(net, route, world.route_ids[j], world.arc[j])
-        if arc_j is None:
-            continue
-        d = forward_gap(route, ego_arc, arc_j, self_distance=(j == i))
-        if d is None or d <= 0.0:
-            continue
-        if d < best_d:
-            best_d = d
-            best_j = j
-    if best_j < 0:
+        if arc_j is not None:
+            on_route.append((arc_j, j))
+    on_route.sort()
+    at = [j for _, j in on_route].index(i) + 1
+    if at == len(on_route) and not route.cyclic:
         return None
-    extent = visible_extent(net, route, world.route_ids[best_j],
-                            float(world.arc[best_j]), float(world.length[best_j]))
-    return world.ids[best_j], best_d - extent
+    arc_j, j = on_route[at % len(on_route)]
+    d = forward_gap(route, world.arc[i], arc_j, self_distance=(j == i))
+    extent = visible_extent(net, route, world.route_ids[j],
+                            float(world.arc[j]), float(world.length[j]))
+    return world.ids[j], d - extent

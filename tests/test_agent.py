@@ -239,9 +239,9 @@ class TestIndexedPerception:
         assert [n[0] for n in scene.neighbors] == ["human_01"]
         assert perceive(w, "cav_00", 109.99, w.route_index()).neighbors == ()
 
-    def test_full_lap_tie_goes_to_the_lowest_index(self):
+    def test_full_lap_leader_is_the_next_rank(self):
         # one ulp behind the ego, the other vehicle's forward gap rounds to a
-        # full lap: it ties with the ego chasing itself, and index 0 wins
+        # full lap; it is the next rank, so it leads the ego, as the links say
         network = PROPERTY_NETWORKS["ring"]
         w = dyn.World(network, seed=0)
         for vid, arc in (("ego", 100.0), ("behind", math.nextafter(100.0, 0.0))):
@@ -250,7 +250,11 @@ class TestIndexedPerception:
                 speed=4.0, length=5.0, kind="cav",
                 active_params=dyn.human_params(30.0)), 0.0)
         assert net.forward_gap(network.route("loop"), w.arc[0], w.arc[1]) == 230.0
-        assert perceive(w, "ego", 10.0, w.route_index()).leader_id == "ego"
+        scene = perceive(w, "ego", 10.0, w.route_index())
+        assert (scene.leader_id, scene.headway) == ("behind", 225.0)
+        w.rebuild_links()
+        assert w.lead_idx.tolist() == [1, 0]
+        assert w.gap.tolist() == [225.0, 100.0 - math.nextafter(100.0, 0.0) - 5.0]
         assert_indexed_matches_reference(w, [0.0, 300.0])
 
     def test_without_index_builds_its_own(self):

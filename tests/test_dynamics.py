@@ -12,7 +12,7 @@ from comal import dynamics as dyn
 from comal import kernels
 from comal import network as net
 from comal import scenario as sc
-from comal.agent import perceive
+from comal.agent import PlannerSpec, perceive, perceive_all
 
 from helpers import (PROPERTY_NETWORKS, assert_index_matches_reference, idm_args,
                      perception_worlds, reference_links, reference_step, signed_dist_to,
@@ -119,6 +119,53 @@ class TestFailsafe:
 
     def test_never_negative(self):
         assert dyn.failsafe_speed(5.0, 0.0, 0.0, 0.1, 4.5) == 0.0
+
+
+@st.composite
+def failsafe_configs(draw):
+    """A ring, figure-eight or merge with any CAV share, human noise up to
+    3 m/s^2 and dt from 0.05 to 0.5 s."""
+    topology = draw(st.sampled_from(sc.TOPOLOGIES))
+    n = 0  # the merge fills from its inflows
+    if topology == "ring":
+        n = draw(st.integers(2, 40))
+        cfg = sc.find("Ring 2").replace(ring_length_m=n * draw(st.floats(8.0, 30.0)))
+    elif topology == "figure_eight":
+        radius = draw(st.floats(20.0, 60.0))
+        n = draw(st.integers(2, int(4.0 * math.pi * radius / 9.0)))
+        cfg = sc.find("FE 0").replace(loop_radius_m=radius)
+    else:
+        cfg = sc.find("Merge 0").replace(penetration=draw(st.floats(0.0, 1.0)))
+    n_cavs = draw(st.integers(0, n))
+    return cfg.replace(n_humans=n - n_cavs, n_cavs=n_cavs,
+                       noise_std=draw(st.floats(0.0, 3.0)), dt=draw(st.floats(0.05, 0.5)),
+                       seed=draw(st.integers(0, 2**16)))
+
+
+class TestFailsafeGuarantee:
+    @settings(max_examples=30, deadline=None)
+    @example(cfg=sc.find("Ring 2").replace(noise_std=3.0, dt=0.5), planner_seed=0, spread=10.0)
+    @example(cfg=sc.find("FE 1").replace(noise_std=3.0, dt=0.5), planner_seed=0, spread=10.0)
+    @example(cfg=sc.find("Merge 2").replace(noise_std=3.0, dt=0.5), planner_seed=0, spread=10.0)
+    @given(cfg=failsafe_configs(), planner_seed=st.integers(0, 2**32 - 1),
+           spread=st.sampled_from([0.0, 1.0, 10.0]))
+    def test_no_collision_whatever_the_planners(self, cfg, planner_seed, spread):
+        # Every step each CAV gets a planner drawn from [-spread, 1 + spread]
+        # times the top of each coordinate, clamped into PlannerSpec.clamped's
+        # box: the wider the spread, the more often a coordinate sits on a corner.
+        w = sc.instantiate(cfg)
+        rng = np.random.default_rng(planner_seed)
+        top = np.array([cfg.speed_limit, 3.0, 10.0])  # of v0, a_max and s0
+        length = next(iter(w.network.routes.values())).length
+        closed = w.is_closed
+        for _ in range(round(40.0 / cfg.dt)):
+            for vid in w.cav_ids():
+                v0, a_max, s0 = (rng.uniform(-spread, 1.0 + spread, 3) * top).tolist()
+                w.set_params(vid, PlannerSpec.clamped(v0, a_max, s0, cfg.speed_limit).params)
+            dyn.step(w, cfg.dt)  # a CollisionError fails the property
+            assert (w.speed >= 0.0).all()
+            if closed:
+                assert abs(w.gap.sum() + w.length.sum() - length) <= 1e-6 * length
 
 
 class TestNoiseModel:
@@ -491,14 +538,32 @@ class TestLinksFromTheIndex:
     def test_match_per_vehicle_reference(self, w):
         assert_links_match_reference(w)
 
+    @settings(max_examples=300, deadline=None)
+    @given(perception_worlds())
+    def test_links_perception_and_leader_of_pick_the_same_leader(self, w):
+        # one leader rule read three ways, compared exactly: ties and vehicles
+        # straddling the junction included
+        w.rebuild_links()
+        scenes = perceive_all(w, w.ids, 50.0)
+        for i, (vid, scene) in enumerate(zip(w.ids, scenes)):
+            j = int(w.lead_idx[i])
+            if j < 0:
+                assert w.gap[i] == math.inf and net.leader_of(vid, w) is None
+                assert (scene.leader_id, scene.headway) == (None, math.inf)
+            else:
+                assert net.leader_of(vid, w) == (w.ids[j], w.gap[i])
+                assert (scene.leader_id, scene.headway) == (w.ids[j], w.gap[i])
+
     def test_a_tie_links_with_a_negative_gap(self):
         w = dyn.World(PROPERTY_NETWORKS["ring"], seed=0)
         add_at(w, "a", "loop", 100.0)
         add_at(w, "b", "loop", 100.0)
         assert_links_match_reference(w)
         assert w.lead_idx.tolist() == [1, 0] and w.gap.tolist() == [-5.0, -5.0]
-        # perception skips the zero forward arc and sees the ego a lap ahead
-        assert perceive(w, "a", 50.0).leader_id == "a"
+        # perception reads the same next rank: the overlap shows as a negative headway
+        scene = perceive(w, "a", 50.0)
+        assert (scene.leader_id, scene.headway) == ("b", -5.0)
+        assert "headway=-5.00 m; leader=b;" in scene.text
 
     def test_lone_vehicle_chases_itself_around_the_loop(self):
         network = PROPERTY_NETWORKS["figure_eight"]

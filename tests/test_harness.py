@@ -17,7 +17,7 @@ from comal import scenario as sc
 from comal.agent import ScriptedBackend
 from comal.harness import (RunResult, SweepCell, TrajectorySample, TrajectorySamples,
                            export, import_trajectories, metrics, run, sweep)
-from comal.llm_client import RecordingBackend, ReplayBackend, TranscriptLog
+from comal.llm_client import BackendConfig, RecordingBackend, ReplayBackend, TranscriptLog
 
 from helpers import reference_trajectories_csv
 
@@ -557,6 +557,13 @@ class TestReplayFlow:
 
 
 class TestSweep:
+    def test_fe_2_runs_the_same_at_every_seed(self):
+        # 14 CAVs and no human on a closed route: nothing draws from the seed
+        cfg = sc.find("FE 2").replace(horizon_s=30.0)
+        a, b = run(cfg.replace(seed=0)), run(cfg.replace(seed=1))
+        assert (a.avg_speed, a.speed_std, a.flags) == (b.avg_speed, b.speed_std, b.flags)
+        assert a.samples == b.samples and len(a.samples) > 0
+
     def test_single_cell_single_seed_equals_run(self):
         table = sweep([SweepCell("mini", MINI_RING)], seeds=[3])
         row = table.rows[0]
@@ -684,6 +691,23 @@ class TestCli:
         assert out.exit_code == 0, out.output
         assert (tmp_path / "r" / "metrics.json").exists()
         assert (tmp_path / "r" / "trajectories.csv").exists()
+
+    def test_remote_defaults_are_the_backend_config_defaults(self, tmp_path, monkeypatch):
+        from click.testing import CliRunner
+        from comal.cli import main
+        monkeypatch.setenv("COMAL_API_KEY", "test-key")
+        seen = []
+
+        def make_backend(name, *, remote_config, **kw):
+            seen.append(remote_config)
+            raise RuntimeError("no run needed")
+
+        monkeypatch.setattr(harness, "make_backend", make_backend)
+        out = CliRunner().invoke(main, ["run", "--scenario", "Ring 0", "--backend", "remote",
+                                        "--out", str(tmp_path / "r")])
+        assert str(out.exception) == "no run needed"
+        [config] = seen
+        assert config == BackendConfig(endpoint=config.endpoint, model=config.model)
 
     def test_run_rejects_an_out_of_range_override_as_a_usage_error(self, tmp_path):
         from click.testing import CliRunner

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comal import harness
 from comal import llm_client as llm
+from comal import scenario as sc
 from comal.agent import ScriptedBackend
 from comal.llm_client import (BackendConfig, ChatTurn, LlmConfigError,
                               LlmTransportError, PlannerParseError,
-                              RecordingBackend, ReplayBackend, TranscriptLog,
+                              RecordingBackend, RemoteBackend, ReplayBackend, TranscriptLog,
                               extract_planner_json)
 
 from helpers import reference_extract_planner_json, reference_json_candidates
@@ -143,6 +145,30 @@ class TestComplete:
             assert len(srv.requests) == 1
         finally:
             srv.close()
+
+    @pytest.mark.parametrize("content", [None, 42, ["text"]])
+    def test_content_that_is_not_text_is_a_transport_error(self, api_key, content):
+        srv = StubServer([("reply", content)])
+        try:
+            with pytest.raises(LlmTransportError, match="malformed completion payload"):
+                llm.complete(make_config(srv.endpoint), TURNS, sleep=lambda s: None)
+            assert len(srv.requests) == 1
+        finally:
+            srv.close()
+
+    def test_a_run_through_null_replies_counts_every_fallback(self, api_key):
+        # every brainstorm turn and every reason attempt gets "content": null
+        srv = StubServer([("reply", None)])
+        cfg = sc.find("Ring 1").replace(horizon_s=22.0)
+        try:
+            result = harness.run(cfg, RemoteBackend(make_config(srv.endpoint)))
+        finally:
+            srv.close()
+        flags = result.flags
+        assert flags["backend_errors"] == len(srv.requests) > 0
+        assert flags["brainstorm_fallbacks"] == 1
+        assert flags["planner_fallbacks"] == len(result.planner_log) == 2 * cfg.n_cavs
+        assert not flags["collision"] and flags["parse_failures"] == 0
 
     def test_never_blocks_past_budget(self, api_key):
         srv = StubServer([("stall", 5.0)])
