@@ -177,17 +177,46 @@ class RunResult:
                 "flags": self.flags, "seed": self.seed, "config": self.config}
 
 
+# The leaf size of metrics' sum: any bound >= 128 keeps numpy's bits, since
+# numpy sums a block of at most 128 elements without splitting it.
+_STD_LEAF = 1 << 14
+
+
 def metrics(samples, warmup: float) -> tuple[float, float]:
     """Pooled mean and population std of post-warmup speeds.
 
     A sample belongs to the measurement window only when its time is
     strictly after the warmup instant. ``samples`` is a
     :class:`TrajectorySamples` or any iterable of :class:`TrajectorySample`.
+    Both numbers have the bits of ``speeds.mean()`` and ``speeds.std()``,
+    but the std allocates at most one buffer of ``_STD_LEAF`` floats where
+    ``np.std`` allocates a deviations array as large as the speeds.
     """
     speeds = TrajectorySamples.of(samples).speeds_after(warmup)
     if speeds.size == 0:
         raise ValueError("no post-warmup samples")
-    return float(speeds.mean()), float(speeds.std())
+    mean = float(speeds.mean())
+    buf = np.empty(min(speeds.size, _STD_LEAF))
+    return mean, math.sqrt(_squared_deviations(speeds, mean, buf) / speeds.size)
+
+
+def _squared_deviations(x: np.ndarray, mean: float, buf: np.ndarray) -> float:
+    """``np.add.reduce((x - mean) ** 2)``, summed through ``buf``.
+
+    numpy's pairwise sum splits a block of more than 128 elements at
+    ``n//2 - (n//2) % 8`` and adds its halves' sums; following that tree down
+    to blocks that fit ``buf`` adds the same floats in the same order.
+    """
+    n = x.size
+    if n > buf.size:
+        half = n // 2
+        half -= half % 8
+        return (_squared_deviations(x[:half], mean, buf)
+                + _squared_deviations(x[half:], mean, buf))
+    dev = buf[:n]
+    np.subtract(x, mean, out=dev)
+    np.multiply(dev, dev, out=dev)
+    return float(np.add.reduce(dev))
 
 
 class AgentPipeline:

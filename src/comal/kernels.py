@@ -35,7 +35,8 @@ def safe_speed(gap, leader_speed, dt, b_max):
     gating leaves. The IDM term and human noise can brake harder. The
     reaction budget absorbs that at dt up to 0.5 s with noise up to 3 m/s^2
     (``tests/test_dynamics.py::TestFailsafeGuarantee``), but not at every
-    larger dt.
+    larger dt, so ``ScenarioConfig`` rejects a dt above 0.5 s
+    (``scenario.MAX_DT``).
     """
     bd = b_max * dt
     g = np.maximum(gap, 0.0)

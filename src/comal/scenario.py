@@ -24,6 +24,9 @@ TOPOLOGIES = ("ring", "figure_eight", "merge")
 # what each annotated field kind of ScenarioConfig accepts; no number field takes a bool
 _FIELD_KINDS = {"str": (str, "a string"), "int": (numbers.Integral, "an integer"),
                 "float": (numbers.Real, "a number"), "bool": (bool, "true or false")}
+# the largest step at which the failsafe keeps every gap positive whatever the
+# planners (tests/test_dynamics.py::TestFailsafeGuarantee); merges collide from ~0.73 s
+MAX_DT = 0.5
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,9 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
                 raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
+            # NaN fails no `<` test and inf passes every `> 0` one
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}")
         if not self.horizon_s > self.warmup_s >= 0.0:
@@ -70,8 +76,9 @@ class ScenarioConfig:
             raise ValueError("vehicle counts must be >= 0")
         if not 0.0 <= self.penetration <= 1.0:
             raise ValueError("penetration must lie in [0, 1]")
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        if not 0 < self.dt <= MAX_DT:
+            raise ValueError(f"dt must lie in (0, {MAX_DT}] s, the steps at which the "
+                             f"failsafe is tested, got {self.dt}")
         if self.noise_std < 0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
         if not self.replan_interval_s > 0:

@@ -5,10 +5,11 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from comal import dynamics as dyn
@@ -51,6 +52,58 @@ class TestMetrics:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             metrics(sample_set([1.0], t=5.0), warmup=20.0)
+
+
+LEAF = harness._STD_LEAF
+
+
+def after_warmup(speeds: np.ndarray, width: int = 1024) -> TrajectorySamples:
+    """A warmup step of two samples, then ``speeds`` in steps of ``width``."""
+    cols = TrajectorySamples(2 + speeds.size, positions=False)
+    cols.append(0.0, ["w0", "w1"], None, [1e3, -1e3])
+    ids = [f"v{i}" for i in range(width)]
+    for a in range(0, speeds.size, width):
+        step = speeds[a:a + width]
+        cols.append(30.0 + a, ids[:step.size], None, step)
+    return cols
+
+
+class TestStdWithoutTemporary:
+    """``metrics`` sums the squared deviations in numpy's own pairwise order,
+    one leaf at a time, so it keeps ``np.std``'s bits without its full-size
+    deviations array."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.one_of(st.sampled_from([0, 1, 7, 8, 128, 129, LEAF - 1, LEAF, LEAF + 1,
+                                      2 * LEAF + 8]),
+                     st.integers(1, 500_000)),
+           st.floats(0.0, 0.5))
+    @example(0, 128, 0.0)  # one block numpy does not split
+    @example(0, 2 * LEAF + 8, 0.0)  # halves of LEAF + 4 round down to LEAF
+    def test_same_bits_as_numpy(self, seed, n, zero_share):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(15.0, 8.0, n) * rng.choice([1e-3, 1.0, 1e4])
+        x[rng.random(n) < zero_share] = 0.0
+        if n == 0:
+            with pytest.raises(ValueError, match="no post-warmup samples"):
+                metrics(after_warmup(x), warmup=20.0)
+            return
+        mean = float(x.mean())
+        assert (harness._squared_deviations(x, mean, np.empty(min(n, LEAF))).hex()
+                == float(np.add.reduce((x - mean) ** 2)).hex())
+        assert tuple(v.hex() for v in metrics(after_warmup(x), warmup=20.0)) == (
+            mean.hex(), float(x.std()).hex())
+
+    def test_allocates_at_most_a_leaf(self):
+        cols = after_warmup(np.random.default_rng(0).normal(15.0, 8.0, 1_000_000))
+        tracemalloc.start()
+        try:
+            metrics(cols, warmup=20.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * LEAF * 8  # np.std allocates 8 MB here
 
 
 class TestRun:
@@ -737,6 +790,24 @@ class TestCli:
                                             "--out", str(tmp_path / "r")])
             assert out.exit_code == 2, out.output
             assert "Invalid value for '--config'" in out.output and key in out.output
+
+    # `json.load` reads NaN and Infinity; NaN noise ran noise-free, unwarned.
+    # dt 0.9 on Merge 2 leaves the failsafe's tested range (it can collide)
+    @pytest.mark.parametrize("scenario, text, key", [
+        ("Ring 0", '{"noise_std": NaN}', "noise_std"),
+        ("Ring 0", '{"dt": Infinity}', "dt"),
+        ("Merge 2", '{"noise_std": 3.0, "dt": 0.9}', "dt")])
+    def test_run_rejects_a_non_finite_or_too_long_step_as_a_usage_error(
+            self, scenario, text, key, tmp_path, monkeypatch):
+        from click.testing import CliRunner
+        from comal.cli import main
+        monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("ran"))
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        out = CliRunner().invoke(main, ["run", "--scenario", scenario, "--config", str(path),
+                                        "--out", str(tmp_path / "r")])
+        assert out.exit_code == 2, out.output
+        assert "Invalid value for '--config'" in out.output and key in out.output
 
     @pytest.mark.parametrize("args,option", [
         (["run", "--scenario", "Ring 9", "--out", "r"], "--scenario"),

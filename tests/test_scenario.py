@@ -1,4 +1,6 @@
 """Catalog golden values and world instantiation."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,25 @@ class TestCatalog:
     def test_a_flag_takes_only_a_bool(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be true or false"):
             sc.apply_overrides(sc.find("Ring 0"), {key: value})
+
+    # NaN fails no `<` test and inf passes every `> 0` one: NaN noise ran
+    # noise-free, dt=inf wrote NaN metrics, dt=nan and an infinite replan
+    # interval ended in tracebacks from the run
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(sc.ScenarioConfig)
+                                     if f.type == "float"])
+    def test_a_float_field_takes_only_a_finite_number(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            sc.apply_overrides(sc.find("Merge 0"), {key: value})
+
+    def test_dt_stays_where_the_failsafe_is_tested(self):
+        # Merge 2 at this dt, with planners from the failsafe property, collided
+        with pytest.raises(ValueError, match=r"dt must lie in \(0, 0.5\]"):
+            sc.find("Merge 2").replace(noise_std=3.0, dt=0.9, seed=0)
+        for dt in (0.0, -0.1, 0.5000001):
+            with pytest.raises(ValueError, match="dt must lie in"):
+                sc.find("Ring 0").replace(dt=dt)
+        assert sc.find("Merge 2").replace(noise_std=3.0, dt=sc.MAX_DT).dt == 0.5
 
     def test_keeps_the_boundary_values(self):
         cfg = sc.apply_overrides(sc.find("Merge 0"), {
