@@ -9,12 +9,12 @@ CLI (``comal list|run|sweep``).
 """
 from .agent import MemoryStore, PlannerSpec, ScriptedBackend, perceive, reason
 from .dynamics import (CollisionError, IdmParams, VehicleState, World,
-                       desired_gap, equilibrium_speed, failsafe_speed,
-                       human_params, idm_accel, step)
+                       desired_gap, equilibrium_speed, human_params, idm_accel,
+                       step)
 from .harness import RunResult, export, metrics, run, sweep
 from .llm_client import BackendConfig, RemoteBackend, ReplayBackend
-from .network import (NetworkSpec, arc_distance, build_figure_eight,
-                      build_merge, build_ring, leader_of)
+from .network import (NetworkSpec, build_figure_eight, build_merge, build_ring,
+                      leader_of)
 from .scenario import ScenarioConfig, catalog, find, instantiate
 
 __version__ = "0.1.0"
@@ -23,8 +23,8 @@ __all__ = [
     "BackendConfig", "CollisionError", "IdmParams", "MemoryStore",
     "NetworkSpec", "PlannerSpec", "RemoteBackend", "ReplayBackend",
     "RunResult", "ScenarioConfig", "ScriptedBackend", "VehicleState", "World",
-    "arc_distance", "build_figure_eight", "build_merge", "build_ring",
-    "catalog", "desired_gap", "equilibrium_speed", "export", "failsafe_speed",
+    "build_figure_eight", "build_merge", "build_ring",
+    "catalog", "desired_gap", "equilibrium_speed", "export",
     "find", "human_params", "idm_accel", "instantiate", "leader_of",
     "metrics", "perceive", "reason", "run", "step", "sweep",
 ]

@@ -82,7 +82,7 @@ _LISTS = ("ids", "route_ids", "kinds", "noise")  # per-vehicle Python objects
 
 @dataclass(frozen=True)
 class IdmParams:
-    """The six car-following constants. All strictly positive, delta >= 1."""
+    """The six car-following constants. All finite and strictly positive, delta >= 1."""
 
     v0: float  # desired speed, m/s
     T: float  # desired time headway, s
@@ -92,10 +92,12 @@ class IdmParams:
     s0: float  # minimum spacing, m
 
     def __post_init__(self):
+        # each bound holds only for a number inside it, so NaN fails them all
         for name in _PARAM_KEYS:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"IdmParams.{name} must be > 0, got {getattr(self, name)}")
-        if self.delta < 1:
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"IdmParams.{name} must be finite and > 0, got {getattr(self, name)}")
+        if not self.delta >= 1:
             raise ValueError(f"IdmParams.delta must be >= 1, got {self.delta}")
 
 
@@ -118,10 +120,10 @@ class VehicleState:
     active_params: IdmParams
 
     def __post_init__(self):
-        if self.speed < 0:
-            raise ValueError(f"vehicle {self.id!r}: speed must be >= 0")
-        if self.length <= 0:
-            raise ValueError(f"vehicle {self.id!r}: length must be > 0")
+        if not 0 <= self.speed < math.inf:  # NaN fails too
+            raise ValueError(f"vehicle {self.id!r}: speed must be finite and >= 0")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"vehicle {self.id!r}: length must be finite and > 0")
         if self.kind not in ("human", "cav"):
             raise ValueError(f"vehicle {self.id!r}: kind must be 'human' or 'cav'")
 
@@ -206,20 +208,6 @@ def equilibrium_speed(p: IdmParams, gap: float, tol: float = 1e-10) -> float:
         else:
             hi = mid
     return mid
-
-
-def failsafe_speed(v: float, gap: float, leader_speed: float, dt: float,
-                   b_max: float) -> float:
-    """Cap ``v`` so braking at b_max always stops the ego behind its leader.
-
-    The leader is assumed to brake no harder than b_max; one step of
-    reaction delay is budgeted so the cap stays sound under synchronous
-    position updates.
-    """
-    bd = b_max * dt
-    v_safe = -bd + math.sqrt(bd * bd + leader_speed * leader_speed
-                             + 2.0 * b_max * max(gap, 0.0))
-    return min(v, max(v_safe, 0.0))
 
 
 class _Inflow:
@@ -423,10 +411,6 @@ class World:
 
     def index_of(self, vehicle_id: str) -> int:
         return self._index[vehicle_id]
-
-    def params_of(self, vehicle_id: str) -> IdmParams:
-        i = self._index[vehicle_id]
-        return IdmParams(**{k: float(self._p[k][i]) for k in self._p})
 
     def cav_ids(self) -> list[str]:
         return [vid for vid, kind in zip(self.ids, self.kinds) if kind == "cav"]
@@ -639,12 +623,19 @@ class World:
         self._index = {vid: i for i, vid in enumerate(self.ids)}
 
     def _check_gaps(self) -> None:
-        bad = (self.gap <= 0.0).nonzero()[0]
-        if bad.size:
-            i = int(bad[0])
-            j = int(self.lead_idx[i])
-            leader = self.ids[j] if j >= 0 else "<none>"
-            raise CollisionError(self.time, self.ids[i], leader, float(self.gap[i]))
+        """Raise on a gap that is not > 0: CollisionError, or FloatingPointError
+        for NaN, which a NaN speed or parameter spreads into its follower's gap."""
+        gap = self.gap
+        ok = gap > 0.0
+        if np.count_nonzero(ok) == gap.size:
+            return
+        nan = np.isnan(gap).nonzero()[0]
+        i = int(nan[0]) if nan.size else int(np.argmin(ok))  # the first NaN, else not > 0
+        j = int(self.lead_idx[i])
+        leader = self.ids[j] if j >= 0 else "<none>"
+        if nan.size:
+            raise FloatingPointError(f"NaN gap at t={self.time:.2f}s: {self.ids[i]} -> {leader}")
+        raise CollisionError(self.time, self.ids[i], leader, float(gap[i]))
 
 
 def step(world: World, dt: float) -> None:

@@ -15,9 +15,7 @@ import io
 import itertools
 import json
 import math
-import operator
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,17 +31,7 @@ from .llm_client import (BackendConfig, RecordingBackend, RemoteBackend,
 DEFAULT_ROLE = "wave_dampener"  # applied without collaboration (ablation, arrivals)
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One (time, vehicle) sample of the run."""
-
-    time: float
-    vehicle_id: str
-    position: float  # arc along the vehicle's route, m
-    speed: float
-
-
-class TrajectorySamples(Sequence):
+class TrajectorySamples:
     """A run's samples, held as two float64 columns and a list per step.
 
     Each recorded step keeps its time and the ids of the vehicles present
@@ -51,10 +39,9 @@ class TrajectorySamples(Sequence):
     positions and speeds fill the next rows of a position and a speed
     column; ``positions[k]`` and ``speeds[k]`` are views of step ``k``'s
     rows. The columns start at ``capacity`` rows and grow geometrically.
-    It reads as a sequence of :class:`TrajectorySample` in step order, then
-    vehicle order, and compares equal to any list or tuple of the same
-    samples. Samples made with ``positions=False`` keep no position column:
-    they serve :meth:`speeds_after` only.
+    Times never decrease: :meth:`append` rejects a step timed before the
+    last one. Samples made with ``positions=False`` keep no position
+    column: they serve :meth:`speeds_after` only.
     """
 
     def __init__(self, capacity: int = 0, *, positions: bool = True):
@@ -64,20 +51,14 @@ class TrajectorySamples(Sequence):
         self._speed = np.empty(capacity)
         self._ends: list[int] = []  # samples up to and including each step
 
-    @classmethod
-    def of(cls, samples) -> TrajectorySamples:
-        """``samples`` as columns; each run of equal times becomes one step."""
-        if isinstance(samples, cls):
-            return samples
-        out = cls(operator.length_hint(samples))
-        for time, group in itertools.groupby(samples, key=operator.attrgetter("time")):
-            group = list(group)
-            out.append(time, [s.vehicle_id for s in group],
-                       [s.position for s in group], [s.speed for s in group])
-        return out
-
     def append(self, time: float, ids, positions, speeds) -> None:
-        """Record one step, copying ``positions`` and ``speeds`` into the columns."""
+        """Record one step, copying ``positions`` and ``speeds`` into the columns.
+
+        Raises ValueError when ``time`` is NaN or below the last step's time.
+        """
+        last = self.times[-1] if self.times else -math.inf
+        if not time >= last:
+            raise ValueError(f"step time {time!r} is not at or after the last step's {last!r}")
         start = len(self)
         end = start + len(ids)
         if end > self._speed.size:
@@ -118,42 +99,15 @@ class TrajectorySamples(Sequence):
     def speeds_after(self, warmup: float) -> np.ndarray:
         """The speeds of every step timed after ``warmup``, in step order.
 
-        When those steps are the last ones, as whenever times never
-        decrease, this is a view of the speed column's tail; otherwise a
-        copy of each selected step's speeds, joined.
+        Since times never decrease, those steps are the last ones: this is
+        a view of the speed column's tail, found by one bisection of the
+        times.
         """
-        times = self.times
-        first = next((k for k, t in enumerate(times) if t > warmup), len(times))
-        if all(t > warmup for t in times[first:]):
-            return self._speed[(self._ends[first - 1] if first else 0):len(self)]
-        return np.concatenate([np.empty(0)] + [
-            v for t, v in zip(times, self.speeds) if t > warmup])
+        k = bisect.bisect_right(self.times, warmup)
+        return self._speed[(self._ends[k - 1] if k else 0):len(self)]
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = operator.index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("sample index out of range")
-        k = bisect.bisect_right(self._ends, i)
-        j = i - (self._ends[k - 1] if k else 0)
-        return TrajectorySample(self.times[k], self.ids[k][j],
-                                float(self._pos[i]), float(self._speed[i]))
-
-    def __iter__(self):
-        for time, ids, pos, speed in zip(self.times, self.ids, self.positions, self.speeds):
-            for vid, x, v in zip(ids, pos.tolist(), speed.tolist()):
-                yield TrajectorySample(time, vid, x, v)
-
-    def __eq__(self, other):
-        if not isinstance(other, (TrajectorySamples, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __repr__(self) -> str:
         return f"TrajectorySamples({len(self)} samples, {len(self.times)} steps)"
@@ -182,17 +136,17 @@ class RunResult:
 _STD_LEAF = 1 << 14
 
 
-def metrics(samples, warmup: float) -> tuple[float, float]:
+def metrics(samples: TrajectorySamples, warmup: float) -> tuple[float, float]:
     """Pooled mean and population std of post-warmup speeds.
 
     A sample belongs to the measurement window only when its time is
-    strictly after the warmup instant. ``samples`` is a
-    :class:`TrajectorySamples` or any iterable of :class:`TrajectorySample`.
+    strictly after the warmup instant. The speeds are read in place from
+    ``samples``' speed column (:meth:`TrajectorySamples.speeds_after`).
     Both numbers have the bits of ``speeds.mean()`` and ``speeds.std()``,
     but the std allocates at most one buffer of ``_STD_LEAF`` floats where
     ``np.std`` allocates a deviations array as large as the speeds.
     """
-    speeds = TrajectorySamples.of(samples).speeds_after(warmup)
+    speeds = samples.speeds_after(warmup)
     if speeds.size == 0:
         raise ValueError("no post-warmup samples")
     mean = float(speeds.mean())
@@ -423,25 +377,30 @@ def export(result: RunResult, directory) -> dict:
     return paths
 
 
-def _export_trajectories(samples, directory) -> str:
+def _export_trajectories(samples: TrajectorySamples, directory) -> str:
     """Write trajectories.csv atomically: the header, then every step's rows."""
-    cols = TrajectorySamples.of(samples)
-
     def write(fh):
         csv.writer(fh).writerow(["time", "vehicle_id", "position", "speed"])
-        _write_rows(fh, cols)
+        _write_rows(fh, samples)
 
     return _atomic_write(directory, "trajectories.csv", write)
 
 
-def import_trajectories(path) -> list[TrajectorySample]:
-    """Read back a trajectories.csv written by :func:`export`."""
-    out = []
+def import_trajectories(path) -> TrajectorySamples:
+    """Read back a trajectories.csv written by :func:`export`, as columns.
+
+    Each run of rows with equal times becomes one step. Rows whose time is
+    below an earlier row's raise ValueError, as :meth:`TrajectorySamples.append`
+    does.
+    """
+    out = TrajectorySamples()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(TrajectorySample(float(row["time"]), row["vehicle_id"],
-                                        float(row["position"]), float(row["speed"])))
+        rows = csv.DictReader(fh)
+        for time, group in itertools.groupby(rows, key=lambda r: float(r["time"])):
+            group = list(group)
+            out.append(time, [r["vehicle_id"] for r in group],
+                       [float(r["position"]) for r in group],
+                       [float(r["speed"]) for r in group])
     return out
 
 

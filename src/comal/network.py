@@ -8,7 +8,6 @@ the same physical spot (the figure-eight crossing, the merge junction).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -109,26 +108,6 @@ class NetworkSpec:
         last = route.edge_ids[-1]
         return LanePosition(last, self.edges[last].length)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "edges": [
-                {"id": e.id, "length": e.length, "speed_limit": e.speed_limit}
-                for e in self.edges.values()
-            ],
-            "routes": [
-                {"id": r.id, "edges": list(r.edge_ids), "cyclic": r.cyclic, "length": r.length}
-                for r in self.routes.values()
-            ],
-            "conflict_points": [
-                {"id": cp.id, "points": [[rid, arc] for rid, arc in cp.points], "window": cp.window}
-                for cp in self.conflict_points
-            ],
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class ConflictPoint:
@@ -204,16 +183,6 @@ def build_merge(highway_length: float, ramp_length: float, speed_limit: float,
         "junction", (("highway", junction_position), ("ramp", ramp_length)))
     return NetworkSpec("merge", [upstream, ramp, downstream],
                        [highway_route, ramp_route], [junction])
-
-
-def arc_distance(frm: LanePosition, to: LanePosition, route: Route) -> float | None:
-    """Forward distance in meters from ``frm`` to ``to`` along the route.
-
-    Cyclic routes wrap, so the result lies in [0, route length). On open
-    routes a target behind the origin has no forward distance; ``None`` is
-    returned and callers must handle it. Positions off the route raise.
-    """
-    return forward_gap(route, route.arc_of(frm), route.arc_of(to))
 
 
 def forward_gap(route: Route, from_arc: float, to_arc: float, self_distance: bool = False) -> float | None:

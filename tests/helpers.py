@@ -1,8 +1,10 @@
 """Shared builders for tests."""
 import csv
 import io
+import itertools
 import json
 import math
+import operator
 import re
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from comal import dynamics as dyn
 from comal import kernels
 from comal import network as net
+from comal.harness import TrajectorySamples
 from comal.llm_client import PlannerParseError
 from comal.agent import (ROLES, TERMINATOR, SceneDescription, allocate_roles,
                          scripted_backend_policy)
@@ -354,8 +357,46 @@ def signed_dist_to(world, i, route_id, cp_arc):
     return cp_arc - proj
 
 
+def failsafe_speed(v, gap, leader_speed, dt, b_max):
+    """``v`` capped so braking at b_max always stops the ego behind its leader.
+
+    The scalar reference of ``kernels.safe_speed`` as the step applies it:
+    the leader brakes no harder than b_max, one step of reaction delay is
+    budgeted, and a negative gap counts as none.
+    """
+    bd = b_max * dt
+    v_safe = -bd + math.sqrt(bd * bd + leader_speed * leader_speed
+                             + 2.0 * b_max * max(gap, 0.0))
+    return min(v, max(v_safe, 0.0))
+
+
+def params_of(world, vehicle_id):
+    """The ``IdmParams`` in ``world``'s parameter columns for one vehicle."""
+    i = world.index_of(vehicle_id)
+    return dyn.IdmParams(**{k: float(col[i]) for k, col in world._p.items()})
+
+
+def sample_rows(cols):
+    """Every sample of the ``TrajectorySamples`` ``cols`` as a ``(time,
+    vehicle_id, position, speed)`` tuple, in step order, then vehicle order."""
+    return [(time, vid, x, v)
+            for time, ids, pos, speed in zip(cols.times, cols.ids, cols.positions, cols.speeds)
+            for vid, x, v in zip(ids, pos.tolist(), speed.tolist())]
+
+
+def sample_columns(rows):
+    """``TrajectorySamples`` of ``(time, vehicle_id, position, speed)`` rows,
+    one step per run of equal times."""
+    cols = TrajectorySamples()
+    for time, group in itertools.groupby(rows, key=operator.itemgetter(0)):
+        _, ids, pos, speed = zip(*group)
+        cols.append(time, list(ids), pos, speed)
+    return cols
+
+
 def reference_trajectories_csv(samples) -> bytes:
-    """trajectories.csv written one ``csv.writer`` row per sample.
+    """trajectories.csv of the ``TrajectorySamples`` ``samples``, written one
+    ``csv.writer`` row per sample.
 
     This is the per-sample export the step-at-a-time writer in
     ``harness.export`` must reproduce byte for byte.
@@ -363,8 +404,8 @@ def reference_trajectories_csv(samples) -> bytes:
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["time", "vehicle_id", "position", "speed"])
-    for s in samples:
-        writer.writerow([repr(s.time), s.vehicle_id, repr(s.position), repr(s.speed)])
+    for time, vid, x, v in sample_rows(samples):
+        writer.writerow([repr(time), vid, repr(x), repr(v)])
     return buf.getvalue().encode("utf-8")
 
 

@@ -20,7 +20,7 @@ from comal.agent import (MessagePool, PlannerSpec, RunFlags, ScriptedBackend,
 from comal.llm_client import (PlannerParseError, RecordingBackend,
                               ReplayBackend, TranscriptLog, extract_planner_json)
 
-from helpers import uniform_ring_world
+from helpers import sample_columns, sample_rows, uniform_ring_world
 
 SEEDS = range(5)
 
@@ -97,7 +97,7 @@ def test_criterion_3_instability_emergence():
     details = []
     for s in SEEDS:
         result = harness.run(cfg.replace(seed=s))
-        post = [x.speed for x in result.samples if x.time > cfg.warmup_s]
+        post = [v for t, *_, v in sample_rows(result.samples) if t > cfg.warmup_s]
         vmin = min(post)
         std = result.speed_std
         details.append(f"seed {s}: min={vmin:.2f}, std={std:.2f}")
@@ -274,8 +274,7 @@ def test_criterion_10_metrics_oracle():
     }
     ok = True
     for name, (values, (want_avg, want_std)) in sets.items():
-        samples = [harness.TrajectorySample(30.0, f"v{i}", 0.0, v)
-                   for i, v in enumerate(values)]
+        samples = sample_columns([(30.0, f"v{i}", 0.0, v) for i, v in enumerate(values)])
         avg, std = harness.metrics(samples, warmup=20.0)
         ok = ok and abs(avg - want_avg) < 1e-12 and abs(std - want_std) < 1e-12
     verdict(10, ok, "metrics match the three hand-computed sample sets to 1e-12",

@@ -14,9 +14,9 @@ from comal import network as net
 from comal import scenario as sc
 from comal.agent import PlannerSpec, perceive, perceive_all
 
-from helpers import (PROPERTY_NETWORKS, assert_index_matches_reference, idm_args,
-                     perception_worlds, reference_links, reference_step, signed_dist_to,
-                     uniform_ring_world)
+from helpers import (PROPERTY_NETWORKS, assert_index_matches_reference, failsafe_speed,
+                     idm_args, params_of, perception_worlds, reference_links,
+                     reference_step, signed_dist_to, uniform_ring_world)
 
 P = dyn.IdmParams(v0=30.0, T=1.0, a_max=1.0, b=1.5, delta=4.0, s0=2.0)
 
@@ -27,6 +27,23 @@ class TestIdmParams:
             dyn.IdmParams(v0=0.0, T=1.0, a_max=1.0, b=1.5, delta=4.0, s0=2.0)
         with pytest.raises(ValueError):
             dyn.IdmParams(v0=30.0, T=1.0, a_max=1.0, b=1.5, delta=0.5, s0=2.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["v0", "T", "a_max", "b", "delta", "s0"])
+    def test_rejects_a_non_finite_field(self, name, value):
+        with pytest.raises(ValueError, match=f"IdmParams.{name} must be finite and > 0"):
+            dataclasses.replace(P, **{name: value})
+
+
+class TestVehicleState:
+    @pytest.mark.parametrize("name, value", [
+        ("speed", math.nan), ("speed", math.inf), ("speed", -1.0),
+        ("length", math.nan), ("length", math.inf), ("length", 0.0)])
+    def test_rejects_a_speed_or_length_outside_its_bound(self, name, value):
+        state = dyn.VehicleState(id="v", route_id="loop", position=net.LanePosition("ring", 0.0),
+                                 speed=10.0, length=5.0, kind="human", active_params=P)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            dataclasses.replace(state, **{name: value})
 
 
 class TestDesiredGap:
@@ -109,16 +126,16 @@ class TestEquilibriumSpeed:
 
 class TestFailsafe:
     def test_huge_gap_keeps_speed(self):
-        assert dyn.failsafe_speed(10.0, 1e9, 0.0, 0.1, 4.5) == 10.0
+        assert failsafe_speed(10.0, 1e9, 0.0, 0.1, 4.5) == 10.0
 
     def test_no_room_behind_stopped_leader(self):
-        assert dyn.failsafe_speed(10.0, 0.0, 0.0, 0.1, 4.5) == pytest.approx(0.0)
+        assert failsafe_speed(10.0, 0.0, 0.0, 0.1, 4.5) == pytest.approx(0.0)
 
     def test_equal_stopping_distances_not_binding(self):
-        assert dyn.failsafe_speed(10.0, 2.0, 10.0, 0.1, 4.5) == 10.0
+        assert failsafe_speed(10.0, 2.0, 10.0, 0.1, 4.5) == 10.0
 
     def test_never_negative(self):
-        assert dyn.failsafe_speed(5.0, 0.0, 0.0, 0.1, 4.5) == 0.0
+        assert failsafe_speed(5.0, 0.0, 0.0, 0.1, 4.5) == 0.0
 
 
 @st.composite
@@ -193,7 +210,7 @@ class TestKernels:
         gap[::17] = np.inf
         capped = np.minimum(v, np.maximum(kernels.safe_speed(gap, v - dv, 0.1, 4.5), 0.0))
         for i in range(n):
-            assert capped[i] == dyn.failsafe_speed(v[i], gap[i], v[i] - dv[i], 0.1, 4.5)
+            assert capped[i] == failsafe_speed(v[i], gap[i], v[i] - dv[i], 0.1, 4.5)
 
     def test_kernel_matches_scalar_reference(self):
         rng = np.random.default_rng(1)
@@ -292,6 +309,15 @@ class TestStep:
         np.testing.assert_array_equal(w.arc, arc)
         np.testing.assert_array_equal(w.speed, speed)
 
+    @pytest.mark.parametrize("column", ["gap", "speed"])
+    def test_a_nan_gap_or_speed_is_an_error_not_a_collision(self, column):
+        # a NaN speed reaches its follower's gap within the same step
+        w = uniform_ring_world()
+        dyn.step(w, 0.1)
+        getattr(w, column)[3] = math.nan
+        with pytest.raises(FloatingPointError, match="NaN gap at t="):
+            dyn.step(w, 0.1)
+
     def test_a_vehicle_without_a_leader_cannot_collide(self):
         # a row whose leader is -1 stores an infinite gap, whatever gap it is given
         w = uniform_ring_world(n=5, length=100.0)
@@ -318,9 +344,9 @@ class TestStep:
         vid = w.ids[0]
         new = dyn.IdmParams(v0=5.0, T=1.0, a_max=2.0, b=1.5, delta=4.0, s0=1.0)
         w.set_params(vid, new)
-        assert w.params_of(vid) == new
+        assert params_of(w, vid) == new
         dyn.step(w, 0.1)  # no error; the array view was updated atomically
-        assert w.params_of(vid) == new
+        assert params_of(w, vid) == new
 
 
 def front_distances(w) -> dict:
@@ -759,7 +785,7 @@ class TestPerVehicleArrays:
             assert w._route_code.tolist() == codes
             for i, vid in enumerate(w.ids):
                 row = (w.length[i], w._route_len[i], w._cyclic[i], w._noise_std[i],
-                       w.params_of(vid))
+                       params_of(w, vid))
                 assert row == added[vid], vid
 
         w.add_vehicle = add_distinct
@@ -769,15 +795,15 @@ class TestPerVehicleArrays:
             capacities.add(len(w._store["arc"]))
             if w.removed_count and not set_after_removal and w.size > 2:
                 vid = w.ids[w.size // 2]
-                others = {v: w.params_of(v) for v in w.ids if v != vid}
+                others = {v: params_of(w, v) for v in w.ids if v != vid}
                 new = dyn.IdmParams(v0=12.0, T=1.2, a_max=0.8, b=1.4, delta=4.0, s0=2.5)
                 w.set_params(vid, new)
-                assert w.params_of(vid) == new
-                assert others == {v: w.params_of(v) for v in w.ids if v != vid}
+                assert params_of(w, vid) == new
+                assert others == {v: params_of(w, v) for v in w.ids if v != vid}
                 # the very object installed again writes the row
                 w._p["v0"][w.index_of(vid)] = 99.0
                 w.set_params(vid, new)
-                assert w.params_of(vid) == new
+                assert params_of(w, vid) == new
                 added[vid] = added[vid][:4] + (new,)
                 set_after_removal = True
             if k % 10 == 0:

@@ -16,18 +16,18 @@ from comal import dynamics as dyn
 from comal import harness
 from comal import scenario as sc
 from comal.agent import ScriptedBackend
-from comal.harness import (RunResult, SweepCell, TrajectorySample, TrajectorySamples,
-                           export, import_trajectories, metrics, run, sweep)
+from comal.harness import (RunResult, SweepCell, TrajectorySamples, export,
+                           import_trajectories, metrics, run, sweep)
 from comal.llm_client import BackendConfig, RecordingBackend, ReplayBackend, TranscriptLog
 
-from helpers import reference_trajectories_csv
+from helpers import reference_trajectories_csv, sample_columns, sample_rows
 
 MINI_RING = sc.ScenarioConfig(name="Mini Ring", topology="ring", horizon_s=30.0,
                               warmup_s=5.0, n_humans=4, n_cavs=2)
 
 
 def sample_set(values, t=30.0):
-    return [TrajectorySample(t, f"v{i}", 0.0, v) for i, v in enumerate(values)]
+    return sample_columns([(t, f"v{i}", 0.0, v) for i, v in enumerate(values)])
 
 
 class TestMetrics:
@@ -43,9 +43,9 @@ class TestMetrics:
         assert std == pytest.approx(0.816496580927726, abs=1e-12)
 
     def test_warmup_boundary_strict(self):
-        samples = [TrajectorySample(19.9, "a", 0.0, 100.0),
-                   TrajectorySample(20.0, "a", 0.0, 100.0),
-                   TrajectorySample(20.1, "a", 0.0, 7.0)]
+        samples = sample_columns([(19.9, "a", 0.0, 100.0),
+                                  (20.0, "a", 0.0, 100.0),
+                                  (20.1, "a", 0.0, 7.0)])
         avg, std = metrics(samples, warmup=20.0)
         assert avg == 7.0 and std == 0.0
 
@@ -112,7 +112,7 @@ class TestRun:
         b = run(MINI_RING.replace(seed=7))
         assert a.avg_speed == b.avg_speed
         assert a.speed_std == b.speed_std
-        assert a.samples == b.samples
+        assert sample_rows(a.samples) == sample_rows(b.samples)
         assert a.planner_log == b.planner_log
 
     def test_different_seed_differs(self):
@@ -127,15 +127,15 @@ class TestRun:
 
     def test_sample_times_are_dt_multiples(self):
         result = run(MINI_RING)
-        times = sorted({s.time for s in result.samples})
+        times = sorted({t for t, *_ in sample_rows(result.samples)})
         for k, t in enumerate(times):
             assert t == round(k * MINI_RING.dt, 9)
 
     def test_vehicle_count_conserved_on_closed_network(self):
         result = run(MINI_RING)
         by_time = {}
-        for s in result.samples:
-            by_time.setdefault(s.time, set()).add(s.vehicle_id)
+        for t, vid, *_ in sample_rows(result.samples):
+            by_time.setdefault(t, set()).add(vid)
         counts = {len(v) for v in by_time.values()}
         assert counts == {6}
 
@@ -143,7 +143,7 @@ class TestRun:
         result = run(MINI_RING)
         assert result.avg_speed <= MINI_RING.speed_limit
         assert result.speed_std >= 0.0
-        assert all(s.speed >= 0.0 for s in result.samples)
+        assert all(v >= 0.0 for *_, v in sample_rows(result.samples))
 
     def test_collision_flag_and_partial_samples(self, monkeypatch):
         calls = {"n": 0}
@@ -160,6 +160,18 @@ class TestRun:
         assert result.flags["collision"] is True
         assert len(result.samples) == 6 * 31  # initial state + 30 completed steps
         assert math.isnan(result.avg_speed)  # stopped before the warmup ended
+
+    def test_a_nan_gap_raises_out_of_the_run_not_as_a_collision(self, monkeypatch):
+        real_step = dyn.step
+
+        def planting(world, dt):
+            if world.step_count == 30:
+                world.gap[2] = math.nan
+            real_step(world, dt)
+
+        monkeypatch.setattr(harness.dyn, "step", planting)
+        with pytest.raises(FloatingPointError, match="NaN gap"):
+            run(MINI_RING)
 
     def test_roles_assigned_for_cavs(self):
         result = run(MINI_RING)
@@ -189,7 +201,7 @@ class TestExport:
         result = run(MINI_RING)
         paths = export(result, tmp_path)
         back = import_trajectories(paths["trajectories"])
-        assert back == result.samples
+        assert sample_rows(back) == sample_rows(result.samples)
         with open(paths["metrics"]) as f:
             doc = json.load(f)
         assert doc["avg_speed"] == result.avg_speed
@@ -236,13 +248,13 @@ def hand_built_result(samples) -> RunResult:
 
 
 AWKWARD_SAMPLES = [
-    TrajectorySample(0.0, "plain", -0.0, 1e-05),
-    TrajectorySample(0.0, "with,comma", 1.2345678901234568e+17, -0.0),
-    TrajectorySample(0.0, 'with "quote"', 0.1, 2.5),
-    TrajectorySample(0.1, "with,comma", 1e-05, 1.2345678901234568e+17),
-    TrajectorySample(0.1, "", 3.0, 0.0),
-    TrajectorySample(0.1, "line\nbreak", 4.0, 7.0),
-    TrajectorySample(0.2, "plain", 5.5, 1e-05),
+    (0.0, "plain", -0.0, 1e-05),
+    (0.0, "with,comma", 1.2345678901234568e+17, -0.0),
+    (0.0, 'with "quote"', 0.1, 2.5),
+    (0.1, "with,comma", 1e-05, 1.2345678901234568e+17),
+    (0.1, "", 3.0, 0.0),
+    (0.1, "line\nbreak", 4.0, 7.0),
+    (0.2, "plain", 5.5, 1e-05),
 ]
 
 
@@ -255,55 +267,76 @@ class TestColumnarSamples:
             assert fh.read() == reference_trajectories_csv(result.samples)
 
     def test_export_matches_per_sample_writer_on_awkward_ids_and_floats(self, tmp_path):
-        paths = export(hand_built_result(AWKWARD_SAMPLES), tmp_path)
+        cols = sample_columns(AWKWARD_SAMPLES)
+        paths = export(hand_built_result(cols), tmp_path)
         with open(paths["trajectories"], "rb") as fh:
             written = fh.read()
-        assert written == reference_trajectories_csv(AWKWARD_SAMPLES)
+        assert written == reference_trajectories_csv(cols)
         assert b'"with,comma"' in written and b'"with ""quote"""' in written
         assert b"-0.0" in written and b"1e-05" in written
         assert b"1.2345678901234568e+17" in written
-        assert import_trajectories(paths["trajectories"]) == AWKWARD_SAMPLES
+        assert sample_rows(import_trajectories(paths["trajectories"])) == AWKWARD_SAMPLES
 
     def test_columns_and_list_give_the_same_metrics_bits(self):
         result = run(MINI_RING.replace(seed=6))
         cols = metrics(result.samples, MINI_RING.warmup_s)
-        listed = metrics(list(result.samples), MINI_RING.warmup_s)
+        listed = metrics(sample_columns(sample_rows(result.samples)), MINI_RING.warmup_s)
         assert [x.hex() for x in cols] == [x.hex() for x in listed]
         assert [x.hex() for x in cols] == [result.avg_speed.hex(), result.speed_std.hex()]
 
     def test_import_equals_samples_both_ways(self, tmp_path):
         result = run(MINI_RING.replace(seed=8))
-        back = import_trajectories(export(result, tmp_path)["trajectories"])
-        assert back == result.samples
-        assert result.samples == back
-        assert result.samples != back[:-1]
-        assert back[:-1] != result.samples
+        path = export(result, tmp_path / "run")["trajectories"]
+        back = import_trajectories(path)
+        assert sample_rows(back) == sample_rows(result.samples)
+        again = export(hand_built_result(back), tmp_path / "back")["trajectories"]
+        with open(path, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
 
-    def test_reads_as_a_sequence_of_samples(self):
-        result = run(MINI_RING)
-        samples = result.samples
-        listed = list(samples)
-        assert len(samples) == len(listed) == 6 * 301
-        assert samples[0] == listed[0] and samples[-1] == listed[-1]
-        assert samples[7] == listed[7] and samples[-8] == listed[-8]
-        assert samples[5:9] == listed[5:9]
-        assert samples == listed and samples == tuple(listed)
-        assert samples == TrajectorySamples.of(listed)
-        with pytest.raises(IndexError):
-            samples[len(listed)]
+    def test_reads_as_rows_in_step_then_vehicle_order(self):
+        samples = run(MINI_RING).samples
+        rows = sample_rows(samples)
+        assert len(samples) == len(rows) == 6 * 301
+        for k in (0, 7, -8, -1):
+            step, j = divmod(k % len(rows), 6)
+            assert rows[k] == (samples.times[step], samples.ids[step][j],
+                               float(samples.positions[step][j]), float(samples.speeds[step][j]))
+        assert sample_rows(sample_columns(rows)) == rows
         assert all(ids is samples.ids[0] for ids in samples.ids)  # one shared list
+
+    def test_a_decreasing_time_is_rejected(self):
+        cols = TrajectorySamples()
+        cols.append(0.1, ["a"], [1.0], [2.0])
+        cols.append(0.1, ["b"], [3.0], [4.0])  # a tie is one more step at that time
+        for time in (0.0, math.nan):
+            with pytest.raises(ValueError, match="not at or after the last step's 0.1"):
+                cols.append(time, ["a"], [5.0], [6.0])
+        assert sample_rows(cols) == [(0.1, "a", 1.0, 2.0), (0.1, "b", 3.0, 4.0)]
+        with pytest.raises(ValueError):
+            TrajectorySamples().append(math.nan, [], [], [])
+
+    def test_import_rejects_two_steps_rows_swapped(self, tmp_path):
+        path = export(run(MINI_RING.replace(seed=8)), tmp_path)["trajectories"]
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\r\n")
+        step = slice(1 + 6 * 100, 1 + 6 * 101)  # the header, then 6 rows a step
+        later = slice(step.stop, step.stop + 6)
+        lines[step], lines[later] = lines[later], lines[step]
+        with open(path, "wb") as fh:
+            fh.write(b"\r\n".join(lines))
+        with pytest.raises(ValueError, match="not at or after"):
+            import_trajectories(path)
 
     def test_recording_copies_the_arrays(self):
         cols = TrajectorySamples()
         arc, speed = np.array([1.0, 2.0]), np.array([3.0, 4.0])
         cols.append(0.0, ["a", "b"], arc, speed)
         arc[:] = speed[:] = 0.0
-        assert list(cols) == [TrajectorySample(0.0, "a", 1.0, 3.0),
-                              TrajectorySample(0.0, "b", 2.0, 4.0)]
+        assert sample_rows(cols) == [(0.0, "a", 1.0, 3.0), (0.0, "b", 2.0, 4.0)]
 
     def test_without_samples_is_empty(self):
         result = run(MINI_RING, keep_samples=False)
-        assert len(result.samples) == 0 and result.samples == []
+        assert len(result.samples) == 0 and sample_rows(result.samples) == []
 
     @pytest.mark.parametrize("seed", [0, 3, 11, 2024])
     def test_unkept_samples_give_the_kept_metric_bits(self, seed):
@@ -430,8 +463,7 @@ def odd_samples(draw) -> TrajectorySamples:
     """A few steps whose population changes, often to another of the same
     size, or empties; awkward ids and every kind of float64."""
     steps = draw(st.integers(1, 6))
-    times = draw(st.lists(st.floats(0.0, 1e3), min_size=steps, max_size=steps,
-                          unique=True))
+    times = sorted(draw(st.lists(st.floats(0.0, 1e3), min_size=steps, max_size=steps)))
     cols, ids = TrajectorySamples(), []
     for time in times:
         if draw(st.booleans()):
@@ -457,13 +489,11 @@ class TestRowAssembly:
 @st.composite
 def sample_steps(draw):
     """A column capacity below the samples, then steps whose population
-    changes or empties, at sorted (ties allowed) or unsorted times."""
+    changes or empties, at non-decreasing times (ties allowed)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=30))
-    times = draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.5, 2.0, 7.25]),
-                          min_size=len(sizes), max_size=len(sizes)))
-    if draw(st.booleans()):
-        times.sort()
+    times = sorted(draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.5, 2.0, 7.25]),
+                                 min_size=len(sizes), max_size=len(sizes))))
     steps = []
     for time, n in zip(times, sizes):
         first = int(rng.integers(0, 5))
@@ -497,8 +527,8 @@ class TestSampleColumns:
         cols = TrajectorySamples(capacity)
         for step in steps:
             cols.append(*step)
-        assert list(cols) == [TrajectorySample(t, vid, x, v) for t, ids, pos, speed in steps
-                              for vid, x, v in zip(ids, pos.tolist(), speed.tolist())]
+        assert sample_rows(cols) == [(t, vid, x, v) for t, ids, pos, speed in steps
+                                     for vid, x, v in zip(ids, pos.tolist(), speed.tolist())]
         for warmup in [-1.0] + sorted({t for t, *_ in steps}):
             assert metric_bits(cols, warmup) == parent_metric_bits(steps, warmup)
 
@@ -541,7 +571,7 @@ class TestPartedExport:
         path = harness._export_trajectories(samples, tmp_path)
         with open(path, "rb") as fh:
             assert fh.read() == reference_trajectories_csv(samples)
-        assert import_trajectories(path) == samples
+        assert sample_rows(import_trajectories(path)) == sample_rows(samples)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectories.csv"]
 
     def test_merge_with_spawns_and_exits(self, tmp_path):
@@ -565,7 +595,7 @@ class TestPartedExport:
         real_rows = harness._write_rows
 
         def rows(fh, cols):
-            real_rows(fh, TrajectorySamples.of(list(cols)[:len(cols) // 2]))
+            real_rows(fh, sample_columns(sample_rows(cols)[:len(cols) // 2]))
             raise error
 
         monkeypatch.setattr(harness, "_write_rows", rows)
@@ -615,7 +645,7 @@ class TestSweep:
         cfg = sc.find("FE 2").replace(horizon_s=30.0)
         a, b = run(cfg.replace(seed=0)), run(cfg.replace(seed=1))
         assert (a.avg_speed, a.speed_std, a.flags) == (b.avg_speed, b.speed_std, b.flags)
-        assert a.samples == b.samples and len(a.samples) > 0
+        assert sample_rows(a.samples) == sample_rows(b.samples) and len(a.samples) > 0
 
     def test_single_cell_single_seed_equals_run(self):
         table = sweep([SweepCell("mini", MINI_RING)], seeds=[3])

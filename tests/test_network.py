@@ -89,12 +89,10 @@ class TestBuilders:
 
     def test_json_round_shape(self):
         network = net.build_merge(600.0, 100.0, 30.0)
-        doc = network.to_json_dict()
-        assert doc["kind"] == "merge"
-        assert {e["id"] for e in doc["edges"]} == {
-            "highway_upstream", "ramp", "highway_downstream"}
-        assert doc["conflict_points"][0]["points"] == [["highway", 400.0], ["ramp", 100.0]]
-        assert "highway" in network.to_json()
+        assert network.kind == "merge"
+        assert set(network.edges) == {"highway_upstream", "ramp", "highway_downstream"}
+        assert network.conflict_points[0].points == (("highway", 400.0), ("ramp", 100.0))
+        assert "highway" in network.routes
 
 
 def probe_arcs(route, rng) -> np.ndarray:
@@ -143,36 +141,36 @@ class TestArcDistance:
         network = net.build_ring(230.0, 30.0)
         route = network.route("loop")
         p = net.LanePosition("ring", 12.0)
-        assert net.arc_distance(p, p, route) == 0.0
+        assert net.forward_gap(route, route.arc_of(p), route.arc_of(p)) == 0.0
 
     def test_ring_wraps(self):
         network = net.build_ring(230.0, 30.0)
         route = network.route("loop")
         a = net.LanePosition("ring", 225.0)
         b = net.LanePosition("ring", 5.0)
-        assert net.arc_distance(a, b, route) == pytest.approx(10.0)
+        assert net.forward_gap(route, route.arc_of(a), route.arc_of(b)) == pytest.approx(10.0)
 
     def test_ring_wrap_small(self):
         network = net.build_ring(100.0, 30.0)
         route = network.route("loop")
         a = net.LanePosition("ring", 90.0)
         b = net.LanePosition("ring", 10.0)
-        assert net.arc_distance(a, b, route) == pytest.approx(20.0)
+        assert net.forward_gap(route, route.arc_of(a), route.arc_of(b)) == pytest.approx(20.0)
 
     def test_acyclic_behind_is_none(self):
         network = net.build_merge(600.0, 100.0, 30.0)
         route = network.route("highway")
         a = net.LanePosition("highway_downstream", 10.0)
         b = net.LanePosition("highway_upstream", 390.0)
-        assert net.arc_distance(a, b, route) is None
-        assert net.arc_distance(b, a, route) == pytest.approx(20.0)
+        assert net.forward_gap(route, route.arc_of(a), route.arc_of(b)) is None
+        assert net.forward_gap(route, route.arc_of(b), route.arc_of(a)) == pytest.approx(20.0)
 
     def test_off_route_raises(self):
         network = net.build_merge(600.0, 100.0, 30.0)
         route = network.route("highway")
         with pytest.raises(ValueError):
-            net.arc_distance(net.LanePosition("ramp", 1.0),
-                             net.LanePosition("highway_upstream", 5.0), route)
+            net.forward_gap(route, route.arc_of(net.LanePosition("ramp", 1.0)),
+                            route.arc_of(net.LanePosition("highway_upstream", 5.0)))
 
     @settings(max_examples=50, deadline=None)
     @given(a=st.floats(0.0, 229.999), b=st.floats(0.0, 229.999))
@@ -180,8 +178,8 @@ class TestArcDistance:
         network = net.build_ring(230.0, 30.0)
         route = network.route("loop")
         pa, pb = net.LanePosition("ring", a), net.LanePosition("ring", b)
-        d_ab = net.arc_distance(pa, pb, route)
-        d_ba = net.arc_distance(pb, pa, route)
+        d_ab = net.forward_gap(route, route.arc_of(pa), route.arc_of(pb))
+        d_ba = net.forward_gap(route, route.arc_of(pb), route.arc_of(pa))
         if a != b:
             assert d_ab + d_ba == pytest.approx(230.0)
 
