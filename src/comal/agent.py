@@ -101,6 +101,21 @@ _POSITION = _Line("Route position: {position} m.", position=_REAL)
 _NEIGHBORS_TAG = "[NEIGHBORS]"
 _HEAD, _GAP, _TAIL = _NEIGHBOR.format.partition(_REAL[0])  # around the gap, the first number
 _STATUS_HEAD = _STATUS.format.partition("%")[0]  # "status id="
+_ORDER_HEAD = "Speaking order: "
+
+
+def _speaking_order(text: str) -> str | None:
+    r"""The participant list after the first ``"Speaking order: "``, up to the
+    first ``".\n"`` that starts at least one character later; None without
+    either. This is group 1 of ``re.search(r"Speaking order: (.+?)\.\n",
+    text, re.S)``, found without walking the list in the regex engine.
+    """
+    start = text.find(_ORDER_HEAD)
+    if start < 0:
+        return None
+    start += len(_ORDER_HEAD)
+    end = text.find(".\n", start + 1)
+    return None if end < 0 else text[start:end]
 
 
 @dataclass(frozen=True)
@@ -427,18 +442,24 @@ class Message:
 
 
 class MessagePool:
-    """Ordered public transcript of the brainstorming session."""
+    """Ordered public transcript of the brainstorming session.
+
+    Its rendered text is kept, one line appended per :meth:`publish`, so a
+    turn does not format every earlier message again.
+    """
 
     def __init__(self):
         self.messages: list[Message] = []
+        self._text = ""
 
     def publish(self, message: Message) -> None:
         self.messages.append(message)
+        line = f"{message.sender} (round {message.round}): {message.content}"
+        self._text = f"{self._text}\n{line}" if self._text else line  # no line is empty
 
     def rendered(self) -> str:
         """The transcript so far, one line per message."""
-        return "\n".join([f"{m.sender} (round {m.round}): {m.content}"
-                          for m in self.messages]) or "(none yet)"
+        return self._text or "(none yet)"
 
 
 @dataclass(frozen=True)
@@ -686,7 +707,6 @@ class ScriptedBackend:
 
     name = "scripted"
 
-    _ORDER_RE = re.compile(r"Speaking order: (.+?)\.\n", re.S)
     _ROLE_RE = re.compile(r"Assigned role: (\w+)\.")
 
     def complete(self, turns, *, agent_id: str, stage: str) -> str:
@@ -697,7 +717,7 @@ class ScriptedBackend:
 
     def _collaboration_turn(self, text: str, agent_id: str) -> str:
         scene = _parse_header(text)  # the ego's speed and the scenario tag
-        m_order = self._ORDER_RE.search(text)
+        order = _speaking_order(text)
         m_pos = _POSITION.pattern.search(text)
         own_pos = float(m_pos.group(1)) if m_pos else 0.0
         own_speed = scene.ego_speed if scene is not None else 0.0
@@ -705,10 +725,10 @@ class ScriptedBackend:
         # Every status match starts with "status id=" and none overlap, so the
         # count plus the speaker's own bounds the statuses known; the commas
         # plus one are the participants. Below that, someone is still unheard.
-        if m_order and text.count(_STATUS_HEAD) + 1 < m_order.group(1).count(",") + 1:
+        if order is not None and text.count(_STATUS_HEAD) + 1 < order.count(",") + 1:
             return status
-        participants = ([p.strip() for p in m_order.group(1).split(",")]
-                        if m_order else [agent_id])
+        participants = ([p.strip() for p in order.split(",")]
+                        if order is not None else [agent_id])
         statuses = {vid: (float(pos), float(spd))
                     for vid, pos, spd in _STATUS.pattern.findall(text)}
         statuses[agent_id] = (own_pos, own_speed)

@@ -133,8 +133,9 @@ class NoiseModel:
 
     ``std`` is the white-noise intensity: each step draws an acceleration
     from N(0, std/sqrt(dt)), so the speed diffusion it drives is independent
-    of the step size. A zero std draws nothing, leaving the stream and the
-    run untouched.
+    of the step size. A zero std draws nothing and holds no generator
+    (``_rng`` is None), so it leaves the run untouched; ``block`` is for
+    noisy streams only.
 
     ``sample`` is the one-draw reference. The world fills a noisy vehicle's
     block with ``block(k)``: at its add, from the world's noise clock to the
@@ -144,10 +145,10 @@ class NoiseModel:
     """
 
     def __init__(self, std: float, seed_seq: np.random.SeedSequence):
-        if std < 0:
-            raise ValueError(f"noise std must be >= 0, got {std}")
+        if not 0 <= std < math.inf:  # NaN fails too
+            raise ValueError(f"noise std must be finite and >= 0, got {std}")
         self.std = std
-        self._rng = np.random.default_rng(seed_seq)
+        self._rng = np.random.default_rng(seed_seq) if std > 0 else None
 
     def sample(self, dt: float) -> float:
         if self.std == 0.0:
@@ -301,6 +302,8 @@ class World:
     """
 
     def __init__(self, network: NetworkSpec, seed: int, b_max: float = DEFAULT_B_MAX):
+        if not 0 < b_max < math.inf:  # NaN fails too
+            raise ValueError(f"b_max must be finite and > 0, got {b_max}")
         self.network = network
         self.seed = seed
         self.b_max = b_max
@@ -401,8 +404,11 @@ class World:
 
     def add_inflow(self, route_id: str, rate_vph: float, cav_fraction: float = 0.0,
                    id_prefix: str = "veh") -> None:
-        if rate_vph <= 0:
-            raise ValueError(f"inflow rate must be > 0, got {rate_vph}")
+        # each bound holds only for a number inside it, so NaN fails them all
+        if not 0 < rate_vph < math.inf:
+            raise ValueError(f"inflow rate must be finite and > 0, got {rate_vph}")
+        if not 0 <= cav_fraction <= 1:
+            raise ValueError(f"cav_fraction must be in [0, 1], got {cav_fraction}")
         mix_rng = self.spawn_stream() if cav_fraction > 0 else None
         self.inflows.append(_Inflow(route_id, rate_vph, self.spawn_stream(),
                                     cav_fraction, mix_rng, id_prefix))
@@ -621,6 +627,29 @@ class World:
             setattr(self, name, [v for v, k in zip(getattr(self, name), keep) if k])
         self._bind()
         self._index = {vid: i for i, vid in enumerate(self.ids)}
+
+    def check_gap_conservation(self) -> None:
+        """On a closed world, raise FloatingPointError unless the gaps and
+        lengths of each loop's vehicles sum to the loop's length L within
+        1e-6·L (NaN fails too). Other worlds are not checked.
+
+        A closed world's links are static and the step moves each gap by a
+        speed difference, so each sum holds up to rounding; a drift means an
+        update lost a term. Loops must share no edge, as in every
+        ``network.build_*``. The step does not call it (two sums cost about
+        a tenth of a small ring's step); ``harness.run`` does.
+        """
+        if not self.is_closed:
+            return
+        routes = list(self.network.routes.values())
+        sums = np.bincount(self._route_code, weights=self.gap + self.length,
+                           minlength=len(routes))
+        counts = np.bincount(self._route_code, minlength=len(routes))
+        for route, total, count in zip(routes, sums.tolist(), counts.tolist()):
+            if count and not abs(total - route.length) <= 1e-6 * route.length:
+                raise FloatingPointError(
+                    f"gap conservation broken at t={self.time:.2f}s on route {route.id!r}: "
+                    f"gaps and lengths sum to {total!r} m on a {route.length!r}-m loop")
 
     def _check_gaps(self) -> None:
         """Raise on a gap that is not > 0: CollisionError, or FloatingPointError

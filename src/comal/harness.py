@@ -115,7 +115,12 @@ class TrajectorySamples:
 
 @dataclass
 class RunResult:
-    """Everything a run produces besides side-effect files."""
+    """Everything a run produces besides side-effect files.
+
+    ``planner_log`` holds every planner installed, in install order, as six
+    equal-length lists keyed ``time``, ``agent_id``, ``role``, ``v0``,
+    ``a_max`` and ``s0``: element k of each is the k-th planner's.
+    """
 
     avg_speed: float
     speed_std: float
@@ -124,7 +129,7 @@ class RunResult:
     seed: int
     config: dict
     roles: dict
-    planner_log: list
+    planner_log: dict
 
     def metrics_doc(self) -> dict:
         return {"avg_speed": self.avg_speed, "speed_std": self.speed_std,
@@ -184,7 +189,8 @@ class AgentPipeline:
         self.flags = flags
         self.roles: dict[str, str] = {}
         self.pool = MessagePool()
-        self.planner_log: list[dict] = []
+        self.planner_log: dict[str, list] = {
+            "time": [], "agent_id": [], "role": [], "v0": [], "a_max": [], "s0": []}
 
     def _scenes(self, world, cavs: list[str]) -> list:
         return agent_mod.perceive_all(world, cavs, self.cfg.perception_horizon_m,
@@ -209,6 +215,7 @@ class AgentPipeline:
         # planner updates leave positions alone: one pass perceives every CAV
         scenes = self._scenes(world, cavs) if self.cfg.perception else [None] * len(cavs)
         recalled: dict[str, list] = {}  # role -> experiences
+        roles, planners = [], []
         for vid, scene in zip(cavs, scenes):
             role = self.roles.setdefault(vid, DEFAULT_ROLE)
             if role not in recalled:
@@ -218,9 +225,16 @@ class AgentPipeline:
                                        agent_id=vid, speed_limit=self.cfg.speed_limit,
                                        flags=self.flags)
             world.set_params(vid, agent_mod.execute(planner))
-            self.planner_log.append({
-                "time": time, "agent_id": vid, "role": role,
-                "v0": planner.v0, "a_max": planner.a_max, "s0": planner.s0})
+            roles.append(role)
+            planners.append(planner)
+        # each column grows once per replan; the floats are the planners' own
+        log = self.planner_log
+        log["time"] += [time] * len(cavs)
+        log["agent_id"] += cavs
+        log["role"] += roles
+        log["v0"] += [p.v0 for p in planners]
+        log["a_max"] += [p.a_max for p in planners]
+        log["s0"] += [p.s0 for p in planners]
 
 
 def run(cfg: sc.ScenarioConfig, backend=None, *, memory: MemoryStore | None = None,
@@ -228,7 +242,9 @@ def run(cfg: sc.ScenarioConfig, backend=None, *, memory: MemoryStore | None = No
     """Simulate one scenario and compute its metrics.
 
     Deterministic for scripted and replay backends. A collision ends the
-    run early with partial samples and the collision flag set.
+    run early with partial samples and the collision flag set. A NaN gap,
+    or on a closed world a break of gap conservation (checked at each
+    replan and at the end), raises FloatingPointError out of the run.
     """
     backend = backend if backend is not None else ScriptedBackend()
     memory = memory if memory is not None else MemoryStore.default()
@@ -256,10 +272,13 @@ def run(cfg: sc.ScenarioConfig, backend=None, *, memory: MemoryStore | None = No
                     pipeline.collaborate(world)
                     collaborated = True
                 if (k - warm_steps) % replan_steps == 0:
+                    world.check_gap_conservation()
                     pipeline.replan(world, world.time)
             dyn.step(world, dt)
             record()
+        world.check_gap_conservation()
     except dyn.CollisionError:
+        world.check_gap_conservation()  # a broken sum is the fault, not the collision
         flags.collision = True
 
     try:

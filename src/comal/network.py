@@ -16,17 +16,20 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Edge:
-    """Directed road segment. Lengths and limits are strictly positive."""
+    """Directed road segment. Lengths and limits are finite and strictly positive."""
 
     id: str
     length: float  # m
     speed_limit: float  # m/s
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError(f"edge {self.id!r}: length must be > 0, got {self.length}")
-        if self.speed_limit <= 0:
-            raise ValueError(f"edge {self.id!r}: speed_limit must be > 0, got {self.speed_limit}")
+        # each bound holds only for a number inside it, so NaN fails them all
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"edge {self.id!r}: length must be finite and > 0, "
+                             f"got {self.length}")
+        if not 0 < self.speed_limit < math.inf:
+            raise ValueError(f"edge {self.id!r}: speed_limit must be finite and > 0, "
+                             f"got {self.speed_limit}")
 
 
 @dataclass(frozen=True)
@@ -114,12 +117,17 @@ class ConflictPoint:
     """Set of (route id, arc) locations that share one physical spot.
 
     ``window`` is the approach distance (m) within which a vehicle may claim
-    the point under first-come-first-served gating.
+    the point under first-come-first-served gating: finite and >= 0.
     """
 
     id: str
     points: tuple[tuple[str, float], ...]
     window: float = 10.0
+
+    def __post_init__(self):
+        if not 0 <= self.window < math.inf:  # NaN fails too
+            raise ValueError(f"conflict point {self.id!r}: window must be finite and >= 0, "
+                             f"got {self.window}")
 
 
 def _make_route(route_id: str, edges: list[Edge], cyclic: bool) -> Route:
@@ -136,8 +144,8 @@ def _make_route(route_id: str, edges: list[Edge], cyclic: bool) -> Route:
 
 def build_ring(length: float, speed_limit: float) -> NetworkSpec:
     """Single circular lane of the given length with one cyclic route."""
-    if length <= 0:
-        raise ValueError(f"ring length must be > 0, got {length}")
+    if not 0 < length < math.inf:  # NaN fails too
+        raise ValueError(f"ring length must be finite and > 0, got {length}")
     edge = Edge("ring", length, speed_limit)
     route = _make_route("loop", [edge], cyclic=True)
     return NetworkSpec("ring", [edge], [route], [])
@@ -150,8 +158,8 @@ def build_figure_eight(loop_radius: float, speed_limit: float) -> NetworkSpec:
     full right loop and returns to the crossing: total length 4*pi*r. The
     crossing is one conflict point visited at arcs 0 and 2*pi*r.
     """
-    if loop_radius <= 0:
-        raise ValueError(f"loop radius must be > 0, got {loop_radius}")
+    if not 0 < loop_radius < math.inf:  # NaN fails too
+        raise ValueError(f"loop radius must be finite and > 0, got {loop_radius}")
     loop_len = 2.0 * math.pi * loop_radius
     left = Edge("loop_left", loop_len, speed_limit)
     right = Edge("loop_right", loop_len, speed_limit)
@@ -168,8 +176,8 @@ def build_merge(highway_length: float, ramp_length: float, speed_limit: float,
     sink, the ramp joins at ``junction_position`` (defaults to two thirds of
     the highway). The junction is the single conflict point.
     """
-    if highway_length <= 0 or ramp_length <= 0:
-        raise ValueError("highway and ramp lengths must be > 0")
+    if not (0 < highway_length < math.inf and 0 < ramp_length < math.inf):  # NaN fails
+        raise ValueError("highway and ramp lengths must be finite and > 0")
     if junction_position is None:
         junction_position = highway_length * 2.0 / 3.0
     if not 0 < junction_position < highway_length:

@@ -384,6 +384,12 @@ def sample_rows(cols):
             for vid, x, v in zip(ids, pos.tolist(), speed.tolist())]
 
 
+def planner_rows(log):
+    """Every planner of a run's ``planner_log`` columns as one dict of its
+    six fields, in install order."""
+    return [dict(zip(log, fields)) for fields in zip(*log.values())]
+
+
 def sample_columns(rows):
     """``TrajectorySamples`` of ``(time, vehicle_id, position, speed)`` rows,
     one step per run of equal times."""

@@ -20,8 +20,8 @@ from comal.agent import (Experience, MemoryStore, Message, MessagePool,
                          reason, recall, scripted_backend_policy)
 from comal.llm_client import ChatTurn
 
-from helpers import (PROPERTY_NETWORKS, assert_index_matches_reference, perception_worlds,
-                     reference_collaboration_turn, reference_parse_scene_text,
+from helpers import (ORDER_RE, PROPERTY_NETWORKS, assert_index_matches_reference,
+                     perception_worlds, reference_collaboration_turn, reference_parse_scene_text,
                      reference_reason_turn, reference_scene_text, uniform_ring_world)
 
 
@@ -568,13 +568,36 @@ class _CrashingBackend:
         raise RuntimeError("backend exploded")
 
 
+# ids and texts built from the pieces the speaking order's scan looks for
+ORDER_TEXT = st.lists(st.sampled_from(["Speaking order: ", "Speaking order:", ".\n", ".", "\n",
+                                       ",", ", ", " ", "cav_01", "a.b", "x\ny", "é"]),
+                      max_size=12).map("".join)
+
+
+class TestSpeakingOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(text=ORDER_TEXT)
+    @example(text="Speaking order: .\n.\n")  # the list is at least one character
+    @example(text="Speaking order: ")
+    @example(text="x Speaking order: a.\nSpeaking order: b.\n")
+    def test_equals_the_lazy_regex(self, text):
+        m = ORDER_RE.search(text)
+        assert agent._speaking_order(text) == (m.group(1) if m else None)
+
+
 class TestMessagePool:
-    def test_rendered_follows_every_publish(self):
+    @settings(max_examples=100, deadline=None)
+    @given(messages=st.lists(st.tuples(st.text(max_size=6), st.integers(0, 3),
+                                       st.text(max_size=12)), max_size=8))
+    @example(messages=[(f"cav_{k:02d}", k // 2, content) for k, content in enumerate(
+        ["hello", "status id=a position=1.00 speed=2.00", "two\nlines", "[ROLES FINAL]"])])
+    @example(messages=[("", 0, "")])
+    def test_rendered_follows_every_publish(self, messages):
         pool = MessagePool()
         assert pool.rendered() == "(none yet)"
-        for k, content in enumerate(["hello", "status id=a position=1.00 speed=2.00",
-                                     "two\nlines", "[ROLES FINAL]"]):
-            pool.publish(Message(f"cav_{k:02d}", k // 2, content))
+        for sender, rnd, content in messages:
+            pool.publish(Message(sender, rnd, content))
+            # the join every turn made before the pool kept its text
             assert pool.rendered() == "\n".join(
                 f"{m.sender} (round {m.round}): {m.content}" for m in pool.messages)
 

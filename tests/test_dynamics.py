@@ -1,5 +1,4 @@
 """IDM math, equilibrium, failsafe, noise, and the integrator."""
-import copy
 import dataclasses
 import math
 
@@ -198,6 +197,91 @@ class TestNoiseModel:
     def test_rejects_negative_std(self):
         with pytest.raises(ValueError):
             dyn.NoiseModel(-0.1, np.random.SeedSequence(1))
+
+    @pytest.mark.parametrize("std", [math.nan, math.inf])
+    def test_rejects_a_non_finite_std(self, std):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            dyn.NoiseModel(std, np.random.SeedSequence(1))
+
+    def test_a_noise_free_vehicle_still_takes_its_seed_child(self):
+        # so the streams after it, and every spawn, are those of its seed's children
+        w = dyn.World(net.build_ring(200.0, 30.0), seed=6)
+        for vid, arc, std in (("a", 0.0, 0.3), ("cav", 50.0, 0.0), ("b", 100.0, 0.2)):
+            add_at(w, vid, "loop", arc, noise_std=std)
+        children = np.random.SeedSequence(6).spawn(4)
+        assert w.noise[1]._rng is None
+        for row in (0, 2):
+            want = np.random.default_rng(children[row]).standard_normal(dyn._NOISE_BLOCK)
+            assert w._noise_block[row].tobytes() == want.tobytes()
+        assert w.spawn_stream().random() == np.random.default_rng(children[3]).random()
+
+
+class TestWorldInputBounds:
+    """NaN and infinities fail every bound, as in ``IdmParams``; each case
+    was accepted before."""
+
+    @pytest.mark.parametrize("b_max", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_a_b_max_outside_its_bound(self, b_max):
+        with pytest.raises(ValueError, match="b_max must be finite and > 0"):
+            dyn.World(net.build_ring(100.0, 30.0), seed=0, b_max=b_max)
+
+    @pytest.mark.parametrize("rate, fraction, message", [
+        (math.nan, 0.0, "rate must be finite"), (math.inf, 0.0, "rate must be finite"),
+        (600.0, math.nan, r"cav_fraction must be in \[0, 1\]"),
+        (600.0, 2.0, r"cav_fraction must be in \[0, 1\]"),
+        (600.0, -0.5, r"cav_fraction must be in \[0, 1\]")])
+    def test_add_inflow_rejects_a_rate_or_fraction_outside_its_bound(self, rate, fraction,
+                                                                     message):
+        w = dyn.World(net.build_merge(600.0, 100.0, 30.0), seed=0)
+        with pytest.raises(ValueError, match=message):
+            w.add_inflow("highway", rate, cav_fraction=fraction)
+        assert not w.inflows
+
+
+class TestGapConservation:
+    def test_holds_along_a_noisy_ring(self):
+        w = uniform_ring_world(n=22, length=230.0, noise_std=0.6, seed=1, cav_indices=(3,))
+        for _ in range(600):
+            dyn.step(w, 0.1)
+            w.check_gap_conservation()
+
+    # 1e-6 of the ring is 0.23 mm
+    @pytest.mark.parametrize("drift, raises", [
+        (0.0, False), (1e-5, False), (-1e-5, False),
+        (1e-3, True), (-1e-3, True), (math.nan, True), (math.inf, True)])
+    def test_a_drift_past_one_millionth_of_the_loop_raises(self, drift, raises):
+        w = uniform_ring_world(n=22, length=230.0, noise_std=0.2, seed=1)
+        for _ in range(50):
+            dyn.step(w, 0.1)
+        w.gap[4] += drift
+        if raises:
+            with pytest.raises(FloatingPointError, match="gap conservation broken"):
+                w.check_gap_conservation()
+        else:
+            w.check_gap_conservation()
+
+    def test_each_loop_is_summed_apart(self):
+        # two disjoint loops with vehicles, and a third without any
+        edges = [net.Edge(f"e{k}", 100.0 * (k + 1), 30.0) for k in range(3)]
+        network = net.NetworkSpec("ring", edges, [
+            net._make_route(f"r{k}", [e], cyclic=True) for k, e in enumerate(edges)], [])
+        w = dyn.World(network, seed=0)
+        for vid, route_id, arc in (("a", "r0", 0.0), ("b", "r0", 40.0), ("c", "r1", 10.0)):
+            add_at(w, vid, route_id, arc)
+        w.rebuild_links()
+        for _ in range(20):
+            dyn.step(w, 0.1)
+        w.check_gap_conservation()
+        w.gap[2] += 1.0
+        with pytest.raises(FloatingPointError, match="route 'r1'"):
+            w.check_gap_conservation()
+
+    def test_an_open_world_is_not_checked(self):
+        w = merge_world(seed=1, noise_std=0.2)
+        for _ in range(100):
+            dyn.step(w, 0.1)
+        w.gap[0] += 10.0
+        w.check_gap_conservation()
 
 
 class TestKernels:
@@ -635,18 +719,20 @@ def step_checking_noise(w, dts):
     """Step ``w`` once per dt; each step's noise must equal per-vehicle samples.
 
     The reference is a fresh stream from each vehicle's own seed sequence,
-    drawn with one ``NoiseModel.sample(dt)`` per vehicle per step. Returns
-    (spawns while other noisy vehicles were part-way through their blocks,
-    vehicles removed, block refills when the noise clock wraps).
+    drawn with one ``NoiseModel.sample(dt)`` per vehicle per step; a row
+    without a stream (noise-free) must read 0.0, what ``sample`` gives for it.
+    Returns (spawns while other noisy vehicles were part-way through their
+    blocks, vehicles removed, block refills when the noise clock wraps).
     """
-    refs = {vid: fresh_stream(nm) for vid, nm in zip(w.ids, w.noise)}
+    refs = {vid: fresh_stream(nm) for vid, nm in zip(w.ids, w.noise) if nm._rng}
     seen = {"mid_block_spawns": 0, "draws": [], "refills": 0}
     add_vehicle, draw = w.add_vehicle, w._noise
 
     def add_and_copy_stream(state, noise_std):
         seen["mid_block_spawns"] += w._any_noisy and 0 < w._noise_at < dyn._NOISE_BLOCK
         add_vehicle(state, noise_std)
-        refs[state.id] = fresh_stream(w.noise[-1])
+        if w.noise[-1]._rng:
+            refs[state.id] = fresh_stream(w.noise[-1])
 
     def recorded_draw(dt):
         seen["refills"] += w._any_noisy and w._noise_at == dyn._NOISE_BLOCK
@@ -659,7 +745,7 @@ def step_checking_noise(w, dts):
         seen["draws"].clear()
         dyn.step(w, dt)
         for ids, out in seen["draws"]:
-            want = np.array([refs[vid].sample(dt) for vid in ids])
+            want = np.array([refs[vid].sample(dt) if vid in refs else 0.0 for vid in ids])
             if out is None:  # nobody noisy: nothing is added
                 assert (want == 0.0).all()
             else:  # same bits, sign of zero included
@@ -699,7 +785,8 @@ class TestBlockNoise:
 
     def test_noise_free_vehicles_add_exact_zero_and_never_draw(self):
         w = uniform_ring_world(n=8, noise_std=0.3, seed=2, cav_indices=(1, 5))
-        states = [copy.deepcopy(w.noise[i]._rng.bit_generator.state) for i in (1, 5)]
+        # no generator at all: they cannot draw
+        assert [w.noise[i]._rng is None for i in range(8)] == [i in (1, 5) for i in range(8)]
         draws, draw = [], w._noise
 
         def recorded_draw(dt):
@@ -711,7 +798,6 @@ class TestBlockNoise:
             dyn.step(w, 0.1)
         quiet = np.array([d[[1, 5]] for d in draws])
         assert (quiet == 0.0).all() and not np.signbit(quiet).any()
-        assert [w.noise[i]._rng.bit_generator.state for i in (1, 5)] == states
 
     def test_step_size_may_change_between_steps(self):
         w = uniform_ring_world(n=5, noise_std=0.2, seed=4)
@@ -725,7 +811,8 @@ class TestBlockNoise:
         for _ in range(draws_before):
             w._noise(0.1)
         add_at(w, "late", "loop", 100.0, noise_std=0.2)
-        refs = [fresh_stream(nm) for nm in w.noise]
+        # the noise-free "cav" holds no stream: its reference is itself, which samples 0.0
+        refs = [fresh_stream(nm) if nm._rng else nm for nm in w.noise]
         for _ in range(draws_before):
             refs[0].sample(0.1)
         for _ in range(2 * dyn._NOISE_BLOCK + 1):
@@ -885,7 +972,7 @@ def world_state(w) -> dict:
     the noise clock, the removals and the conflict-point reservations."""
     state = {name: (col.dtype, col.tobytes()) if isinstance(col, np.ndarray) else col
              for name, col in table(w).items() if name != "noise"}
-    state["noise"] = [(nm.std, nm._rng.bit_generator.state) for nm in w.noise]
+    state["noise"] = [(nm.std, nm._rng and nm._rng.bit_generator.state) for nm in w.noise]
     state["clock"] = (w.time, w.step_count, w.removed_count, w._index, w._noise_at)
     state["reservations"] = {cp: list(queue.items()) for cp, queue in w.reservations.items()}
     return state
@@ -983,6 +1070,7 @@ class TestRingInvariantsAtScale:
             assert (w.speed >= 0.0).all()
             assert w.ids == ids
             assert abs(w.gap.sum() + w.length.sum() - length) <= 1e-6 * length
+            w.check_gap_conservation()  # the run's form of the same bound
 
 
 @st.composite
@@ -1010,6 +1098,7 @@ class TestFigureEightInvariantsAtScale:
             assert (w.speed >= 0.0).all()
             assert w.ids == ids
             assert abs(w.gap.sum() + w.length.sum() - length) <= 1e-6 * length
+            w.check_gap_conservation()  # the run's form of the same bound
 
 
 class TestMergeInvariantsAtScale:

@@ -11,6 +11,9 @@ would not notice a scene that lists a wrong neighbor or misorders them.
 agent id, the stage, each request turn's role and content, and the reply,
 as a recording backend logs them minus the timestamp and latency. It pins
 the prompts and replies that the exports only see through the planner.
+``planner_log`` is one sha256 over the run's planners in install order, each
+row as sorted-key JSON: every installed planner with its time, agent and
+role, which the exports see only through the motion they cause.
 ``seeds 1-4`` holds the ``metrics.json``, ``trajectories.csv`` and
 ``transcript`` digests of every catalog scenario at seeds 1 to 4: the seed
 moves the humans' noise, and on a merge which vehicles arrive when, and so
@@ -29,11 +32,14 @@ from comal import scenario as sc
 from comal.agent import ScriptedBackend
 from comal.llm_client import RecordingBackend
 
+from helpers import planner_rows
+
 GOLDEN = json.loads(Path(__file__).with_name("golden_digests.json")
                     .read_text(encoding="utf-8"))
 MORE_SEEDS = GOLDEN.pop("seeds 1-4")  # scenario -> seed -> export and transcript digests
 SCENES = "scenes"
 TRANSCRIPT = "transcript"
+PLANNER_LOG = "planner_log"
 
 
 class _DigestLog:
@@ -47,19 +53,26 @@ class _DigestLog:
         self.digest.update((json.dumps(kept, sort_keys=True) + "\n").encode())
 
 
-def run_digests(cfg, out_dir) -> dict:
-    """Run ``cfg`` with the scripted backend; digest its exports and calls."""
+def run_digests(cfg, out_dir, *, planners=False) -> dict:
+    """Run ``cfg`` with the scripted backend; digest its exports and calls,
+    and with ``planners`` its planner log."""
     log = _DigestLog()
     result = harness.run(cfg, RecordingBackend(ScriptedBackend(), log, run_id="golden"))
     paths = harness.export(result, out_dir)
     got = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
            for p in paths.values()}
     got[TRANSCRIPT] = log.digest.hexdigest()
+    if planners:
+        rows = hashlib.sha256()
+        for row in planner_rows(result.planner_log):
+            rows.update((json.dumps(row, sort_keys=True) + "\n").encode())
+        got[PLANNER_LOG] = rows.hexdigest()
     return got
 
 
 def catalog_digests(name, out_dir, monkeypatch) -> dict:
-    """Run one catalog scenario at seed 0; digest its exports, scenes and calls."""
+    """Run one catalog scenario at seed 0; digest its exports, scenes, calls
+    and planners."""
     scenes = hashlib.sha256()
     perceive_all = agent.perceive_all
 
@@ -70,7 +83,7 @@ def catalog_digests(name, out_dir, monkeypatch) -> dict:
         return found
 
     monkeypatch.setattr(agent, "perceive_all", digesting)
-    got = run_digests(sc.find(name).replace(seed=0), out_dir)
+    got = run_digests(sc.find(name).replace(seed=0), out_dir, planners=True)
     got[SCENES] = scenes.hexdigest()
     return got
 
@@ -84,7 +97,7 @@ def more_seeds(merge: bool) -> list[tuple[str, str]]:
 
 def test_golden_covers_the_catalog():
     assert sorted(GOLDEN) == sorted(MORE_SEEDS) == sorted(cfg.name for cfg in sc.catalog())
-    assert all(set(d) == {"metrics.json", "trajectories.csv", SCENES, TRANSCRIPT}
+    assert all(set(d) == {"metrics.json", "trajectories.csv", SCENES, TRANSCRIPT, PLANNER_LOG}
                for d in GOLDEN.values())
     assert all(sorted(by_seed) == ["1", "2", "3", "4"] and all(
         set(d) == {"metrics.json", "trajectories.csv", TRANSCRIPT} for d in by_seed.values())

@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 from comal import dynamics as dyn
 from comal import harness
 from comal import scenario as sc
-from comal.agent import ScriptedBackend
+from comal.agent import MemoryStore, RunFlags, ScriptedBackend
 from comal.harness import (RunResult, SweepCell, TrajectorySamples, export,
                            import_trajectories, metrics, run, sweep)
 from comal.llm_client import BackendConfig, RecordingBackend, ReplayBackend, TranscriptLog
 
-from helpers import reference_trajectories_csv, sample_columns, sample_rows
+from helpers import planner_rows, reference_trajectories_csv, sample_columns, sample_rows
 
 MINI_RING = sc.ScenarioConfig(name="Mini Ring", topology="ring", horizon_s=30.0,
                               warmup_s=5.0, n_humans=4, n_cavs=2)
@@ -123,7 +123,7 @@ class TestRun:
     def test_zero_cav_never_invokes_pipeline(self):
         result = run(MINI_RING.replace(n_humans=6, n_cavs=0))
         assert result.roles == {}
-        assert result.planner_log == []
+        assert planner_rows(result.planner_log) == []
 
     def test_sample_times_are_dt_multiples(self):
         result = run(MINI_RING)
@@ -171,6 +171,22 @@ class TestRun:
 
         monkeypatch.setattr(harness.dyn, "step", planting)
         with pytest.raises(FloatingPointError, match="NaN gap"):
+            run(MINI_RING)
+
+    # drift one gap far past 1e-6 of the ring: by 1 cm before the first replan
+    # (step 50) or after the last one (step 290), or by 1 km, a collision next step
+    @pytest.mark.parametrize("at_step, drift", [(10, 0.01), (299, 0.01), (10, -1e3)])
+    def test_a_broken_gap_sum_raises_out_of_the_run_not_as_a_collision(self, monkeypatch,
+                                                                       at_step, drift):
+        real_step = dyn.step
+
+        def drifting(world, dt):
+            real_step(world, dt)
+            if world.step_count == at_step:
+                world.gap[2] += drift
+
+        monkeypatch.setattr(harness.dyn, "step", drifting)
+        with pytest.raises(FloatingPointError, match="gap conservation broken"):
             run(MINI_RING)
 
     def test_roles_assigned_for_cavs(self):
@@ -244,7 +260,7 @@ class TestExport:
 
 def hand_built_result(samples) -> RunResult:
     return RunResult(avg_speed=1.0, speed_std=0.0, samples=samples, flags={},
-                     seed=0, config={}, roles={}, planner_log=[])
+                     seed=0, config={}, roles={}, planner_log={})
 
 
 AWKWARD_SAMPLES = [
@@ -605,6 +621,37 @@ class TestPartedExport:
         assert_clean(tmp_path, b"old run\r\n")
 
 
+class TestPlannerLog:
+    def test_six_equal_columns_in_install_order(self):
+        log = run(MINI_RING).planner_log
+        assert list(log) == ["time", "agent_id", "role", "v0", "a_max", "s0"]
+        assert {len(col) for col in log.values()} == {2 * 25}  # 25 replans of 2 CAVs
+        assert log["agent_id"] == ["cav_00", "cav_03"] * 25
+        assert log["time"][::2] == log["time"][1::2] == [5.0 + k for k in range(25)]
+
+    def test_a_replan_grows_the_log_by_at_most_64_bytes_per_planner(self):
+        n, replans = 100, 4
+        cfg = MINI_RING.replace(n_humans=0, n_cavs=n, ring_length_m=10.0 * n,
+                                collaboration=False)
+        world = sc.instantiate(cfg)
+        pipeline = harness.AgentPipeline(cfg, ScriptedBackend(), MemoryStore.default(),
+                                         RunFlags())
+        pipeline.collaborate(world)  # the roles, held apart from the log
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for k in range(replans):
+                pipeline.replan(world, float(k))
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        in_harness = [tracemalloc.Filter(True, harness.__file__)]
+        grown = sum(d.size_diff for d in after.filter_traces(in_harness).compare_to(
+            before.filter_traces(in_harness), "filename"))
+        assert grown <= 64 * n * replans  # a dict per planner takes about 280 B
+        assert len(planner_rows(pipeline.planner_log)) == n * replans
+
+
 class TestReplayFlow:
     def test_replay_reproduces_planners_and_metrics(self, tmp_path):
         cfg = MINI_RING.replace(seed=4)
@@ -625,7 +672,8 @@ class TestReplayFlow:
         log.close()
         reasons = [r for r in TranscriptLog.read(tmp_path / "transcript.jsonl")
                    if r["stage"] == "reason"]
-        assert [r["agent_id"] for r in reasons] == [p["agent_id"] for p in result.planner_log]
+        assert [r["agent_id"] for r in reasons] == [
+            p["agent_id"] for p in planner_rows(result.planner_log)]
         for r in reasons:
             assert f"You are {r['agent_id']}." in r["request"][-1]["content"]
 

@@ -20,7 +20,7 @@ from comal.llm_client import (BackendConfig, ChatTurn, LlmConfigError,
                               RecordingBackend, RemoteBackend, ReplayBackend, TranscriptLog,
                               extract_planner_json)
 
-from helpers import reference_extract_planner_json, reference_json_candidates
+from helpers import planner_rows, reference_extract_planner_json, reference_json_candidates
 
 TURNS = [ChatTurn("system", "be brief"), ChatTurn("user", "hello")]
 
@@ -167,7 +167,8 @@ class TestComplete:
         flags = result.flags
         assert flags["backend_errors"] == len(srv.requests) > 0
         assert flags["brainstorm_fallbacks"] == 1
-        assert flags["planner_fallbacks"] == len(result.planner_log) == 2 * cfg.n_cavs
+        assert (flags["planner_fallbacks"] == len(planner_rows(result.planner_log))
+                == 2 * cfg.n_cavs)
         assert not flags["collision"] and flags["parse_failures"] == 0
 
     def test_never_blocks_past_budget(self, api_key):

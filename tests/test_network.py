@@ -87,12 +87,45 @@ class TestBuilders:
         with pytest.raises(ValueError):
             net.build_merge(-1.0, 100.0, 30.0)
 
+    # each case was accepted before the bounds were written so that NaN fails them
+    @pytest.mark.parametrize("build, args", [
+        (net.build_ring, (math.nan, 30.0)),
+        (net.build_ring, (math.inf, 30.0)),
+        (net.build_figure_eight, (math.nan, 30.0)),
+        (net.build_figure_eight, (math.inf, 30.0)),
+        (net.build_merge, (600.0, math.nan, 30.0)),
+        (net.build_merge, (600.0, math.inf, 30.0)),
+    ])
+    def test_builders_reject_a_non_finite_size(self, build, args):
+        with pytest.raises(ValueError, match="finite"):
+            build(*args)
+
     def test_json_round_shape(self):
         network = net.build_merge(600.0, 100.0, 30.0)
         assert network.kind == "merge"
         assert set(network.edges) == {"highway_upstream", "ramp", "highway_downstream"}
         assert network.conflict_points[0].points == (("highway", 400.0), ("ramp", 100.0))
         assert "highway" in network.routes
+
+
+class TestInputBounds:
+    """NaN and infinities fail every bound, as in ``IdmParams``; each case
+    was accepted before."""
+
+    @pytest.mark.parametrize("length, speed_limit", [
+        (math.nan, 30.0), (math.inf, 30.0), (100.0, math.nan), (100.0, math.inf)])
+    def test_edge_rejects_a_non_finite_length_or_limit(self, length, speed_limit):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            net.Edge("e", length, speed_limit)
+
+    @pytest.mark.parametrize("window", [math.nan, math.inf, -1.0])
+    def test_conflict_point_rejects_a_window_outside_its_bound(self, window):
+        with pytest.raises(ValueError, match="window must be finite and >= 0"):
+            net.ConflictPoint("x", (("loop", 0.0),), window=window)
+
+    def test_the_bounds_keep_every_finite_value_inside_them(self):
+        assert net.Edge("e", 1e-9, 1e300).length == 1e-9
+        assert net.ConflictPoint("x", (("loop", 0.0),), window=0.0).window == 0.0
 
 
 def probe_arcs(route, rng) -> np.ndarray:
